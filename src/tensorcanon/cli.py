@@ -161,7 +161,7 @@ def build_argparser():
     ap.add_argument("--script", metavar="FILE",
                     help="run a command script instead of reading stdin")
     ap.add_argument("--max-rank", type=int, default=8, metavar="N",
-                    help="refuse expressions with more than N indices"
+                    help="refuse expressions and relations over N indices"
                          " (default 8; the group algebra grows as N!)")
     ap.add_argument("--export-basis", metavar="SPEC",
                     help="after the script, dump the basis of SPEC"
@@ -211,8 +211,12 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             print(f"***** {e}", file=err)
             return 1
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(dump)
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(dump)
+            except OSError as e:
+                print(f"***** {e}", file=err)
+                return 1
         else:
             out.write(dump)
     return status

@@ -313,7 +313,10 @@ def _collect(terms: TermList) -> TermList:
 
 
 def parse(text: str) -> list[Statement]:
-    return _Parser(text).statements()
+    try:
+        return _Parser(text).statements()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 def resolve(expr: TermList, bindings: dict[str, TermList]) -> TermList:

@@ -58,9 +58,6 @@ class GroupVector:
                 return c
         return Fraction(0)
 
-    def as_dict(self) -> dict[Perm, Fraction]:
-        return {p: c for c, p in self.terms}
-
 
 def _merge_terms(tl) -> tuple:
     acc: dict[Perm, Fraction] = {}
@@ -124,20 +121,6 @@ def negate(v: GroupVector) -> GroupVector:
     return scale(-1, v)
 
 
-def sort(v: GroupVector) -> GroupVector:
-    """Re-sort a (possibly unnormalized) term list into descending order.
-
-    Unlike compress, preserves the multiset of (coeff, perm) pairs.
-    """
-    terms = sorted(v.terms, key=lambda t: t[1].map, reverse=True)
-    return GroupVector(v.degree, tuple(terms), _normalized=True)
-
-
-def compress(v: GroupVector) -> GroupVector:
-    """Merge duplicate permutations and drop zero coefficients."""
-    return GroupVector(v.degree, _merge_terms(v.terms), _normalized=True)
-
-
 def renorm(v: GroupVector) -> GroupVector:
     """Scale to coprime integer coefficients with positive leading term.
 
@@ -155,15 +138,6 @@ def renorm(v: GroupVector) -> GroupVector:
                        tuple((Fraction(x // g) if x % g == 0 else Fraction(x, g), p)
                              for x, (_, p) in zip(nums, v.terms)),
                        _normalized=True)
-
-
-def translate_left(p: Perm, v: GroupVector) -> GroupVector:
-    """Replace every term permutation q by p∘q."""
-    if p.degree != v.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {v.degree}")
-    terms = sorted(((c, multiply(p, q)) for c, q in v.terms),
-                   key=lambda t: t[1].map, reverse=True)
-    return GroupVector(v.degree, tuple(terms), _normalized=True)
 
 
 def translate_right(v: GroupVector, p: Perm) -> GroupVector:

@@ -5,32 +5,26 @@ leading ("pivot") permutations, kept fully reduced against each other:
 no row carries a nonzero coefficient on another row's pivot.  Sieving a
 vector eliminates every pivot coefficient, projecting it onto the
 complementary subspace of canonical representatives.
+
+The sieve eliminates the input's pivot terms one at a time, in descending
+permutation order.  The input and the result of each step are the forms
+along the way; sieve_trace also returns the one with the fewest terms,
+the earliest on ties.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import galg
 from .galg import GroupVector
-from .perm import Perm, pack
+from .perm import pack
 
 
 class PivotCollisionError(ValueError):
     """Raised when an inserted vector's pivot already belongs to the basis."""
-
-
-def reduce(v: GroupVector, row: GroupVector) -> GroupVector:
-    """Eliminate row's pivot from v: v - (v[pivot]/row[pivot]) * row."""
-    if row.is_zero():
-        raise ValueError("cannot reduce by the zero vector")
-    pc, pp = galg.leading(row)
-    c = v.coeff(pp)
-    if c == 0:
-        return v
-    return galg.add(v, galg.scale(-c / pc, row))
 
 
 class KBasis:
@@ -48,61 +42,51 @@ class KBasis:
     def dim(self) -> int:
         return len(self._rows)
 
-    def pivots(self) -> list[Perm]:
-        return [galg.leading(r)[1] for r in self._rows.values()]
-
     def sieve(self, v: GroupVector) -> GroupVector:
-        """Eliminate every pivot of the basis from v, to fixpoint.
+        """The canonical representative of v: every pivot eliminated."""
+        return self._eliminate(v, False)[0]
 
-        With fully reduced rows one pass suffices; the rescan keeps the
-        result independent of row bookkeeping.
+    def sieve_trace(self, v: GroupVector) -> tuple[GroupVector, GroupVector]:
+        """Like sieve, but also return the fewest-term intermediate form."""
+        return self._eliminate(v, True)
+
+    def _eliminate(self, v: GroupVector,
+                   trace: bool) -> tuple[GroupVector, GroupVector]:
+        """One descending pass over v's terms, eliminating each pivot.
+
+        Rows are fully reduced, so no step brings in a pivot or changes
+        the coefficient of a later one.  Returns the canonical form and,
+        with `trace`, the fewest-term form (else the canonical again).
         """
         if v.degree != self.degree:
             raise ValueError(f"degree mismatch: {v.degree} != {self.degree}")
         rows = self._rows
         acc = {p.map: (c, p) for c, p in v.terms}
-        changed = True
-        while changed:
-            changed = False
-            for key in list(acc):
-                if key not in acc:
-                    continue
-                row = rows.get(key)
-                if row is None:
-                    continue
-                c, _ = acc.pop(key)
-                ratio = c / row.terms[0][0]
-                for rc, rp in row.terms[1:]:
-                    k = rp.map
-                    old = acc.get(k)
-                    x = (old[0] if old else 0) - ratio * rc
-                    if x:
-                        acc[k] = (x, rp)
-                    else:
-                        acc.pop(k, None)
-                changed = True
-        return galg.from_dict(self.degree, {p: c for c, p in acc.values()})
+        best, fewest = None, len(acc)
+        for c, p in v.terms:
+            row = rows.get(p.map)
+            if row is None:
+                continue
+            del acc[p.map]
+            ratio = c / row.terms[0][0]
+            for rc, rp in row.terms[1:]:
+                k = rp.map
+                old = acc.get(k)
+                x = (old[0] if old else 0) - ratio * rc
+                if x:
+                    acc[k] = (x, rp)
+                else:
+                    acc.pop(k, None)
+            if trace and len(acc) < fewest:
+                best, fewest = dict(acc), len(acc)
+        canonical = self._vector(acc)
+        if not trace:
+            return canonical, canonical
+        return canonical, v if best is None else self._vector(best)
 
-    def sieve_trace(self, v: GroupVector) -> tuple[GroupVector, GroupVector]:
-        """Like sieve, but also return the fewest-term intermediate form.
-
-        The input form and every elimination step compete; ties go to the
-        earliest occurrence.
-        """
-        shortest = v
-        while True:
-            hit = None
-            for c, p in v.terms:
-                row = self._rows.get(p.map)
-                if row is not None:
-                    hit = (c, row)
-                    break
-            if hit is None:
-                return v, shortest
-            c, row = hit
-            v = galg.add(v, galg.scale(-c / row.terms[0][0], row))
-            if len(v.terms) < len(shortest.terms):
-                shortest = v
+    def _vector(self, acc: dict) -> GroupVector:
+        terms = tuple(acc[k] for k in sorted(acc, reverse=True))
+        return GroupVector(self.degree, terms, _normalized=True)
 
     def insert(self, v: GroupVector):
         """Renorm v, add it as a row and reduce all other rows by it."""
@@ -165,11 +149,6 @@ class KBasis:
             ],
         }
         return json.dumps(obj, indent=2) + "\n"
-
-
-def build(relations: Iterable[GroupVector], initial: KBasis) -> KBasis:
-    """Extend `initial` in place by the given relation vectors."""
-    return initial.build(relations)
 
 
 # -- packed storage ----------------------------------------------------

@@ -93,12 +93,6 @@ def inverse(p: Perm) -> Perm:
     return Perm._trusted(tuple(r))
 
 
-def divide(p1: Perm, p2: Perm) -> Perm:
-    """The x with multiply(x, p1) = p2."""
-    _check_degrees(p1, p2)
-    return multiply(p2, inverse(p1))
-
-
 def sign(p: Perm) -> int:
     """Parity of p: +1 for even, -1 for odd."""
     seen = [False] * p.degree
@@ -137,12 +131,6 @@ def extend_left(p: Perm, d: int) -> Perm:
     if d < 0:
         raise ValueError("extension count must be nonnegative")
     return Perm._trusted(tuple(range(1, d + 1)) + tuple(v + d for v in p.map))
-
-
-def concat(p1: Perm, p2: Perm) -> Perm:
-    """Block-diagonal permutation: p1 on the first block, p2 shifted after it."""
-    n1 = p1.degree
-    return Perm._trusted(p1.map + tuple(v + n1 for v in p2.map))
 
 
 def _pack_width(n: int) -> int:

@@ -130,24 +130,6 @@ def estimate_memory(n: int) -> tuple[float, float]:
     return cells / 10**6, cells * 8 / (1024 * 1000)
 
 
-def split(term: RawTerm) -> list[RawTerm]:
-    """Split a product term into single-factor terms (coefficient on the first)."""
-    c, facs = term
-    if not facs:
-        return [term]
-    return [(c if i == 0 else 1, (f,)) for i, f in enumerate(facs)]
-
-
-def fuse(parts: Sequence[RawTerm]) -> RawTerm:
-    """Recombine factor parts into one term with factors in canonical order."""
-    coeff = Fraction(1)
-    facs: list[RawFactor] = []
-    for c, fs in parts:
-        coeff *= Fraction(c)
-        facs.extend(fs)
-    return coeff, tuple(sorted(facs, key=lambda f: f[0]))
-
-
 class Registry:
     """Declared basic tensors, their stored bases and the global switches."""
 
@@ -177,6 +159,15 @@ class Registry:
             self.note(f"+++ {name} is not a tensor.")
             return
         del self.tensors[name]
+
+    def _check_rank(self, n: int):
+        """The factorial-growth guard, for expressions and relations."""
+        if n > self.max_rank:
+            mc, mb = estimate_memory(n)
+            raise DegreeLimitError(
+                f"{n} indices exceed the rank limit {self.max_rank}; S_{n} "
+                f"needs about {mc:.1f} Mcells ({mb:.1f} MByte) and grows "
+                f"factorially -- raise the rank limit to proceed")
 
     def _fix_arity(self, name: str, arity: int) -> BasicTensor:
         t = self.tensors.get(name)
@@ -211,6 +202,7 @@ class Registry:
                 raise TensorError("dummy indices are not allowed in symmetry"
                                   " relations")
             parsed.append((Fraction(c), idx))
+        self._check_rank(len(parsed[0][1]))
         tensor = self._fix_arity(name, len(parsed[0][1]))
         ref = parsed[0][1]
         if tensor.display is None:
@@ -359,12 +351,7 @@ class Registry:
                          with_dummies: bool = True) -> KBasis:
         """Build the full (transient) relation basis for a header."""
         n = header.degree
-        if n > self.max_rank:
-            mc, mb = estimate_memory(n)
-            raise DegreeLimitError(
-                f"expression has {n} indices; the group algebra of S_{n} "
-                f"needs about {mc:.1f} Mcells ({mb:.1f} MByte) and grows "
-                f"factorially -- raise the rank limit to proceed")
+        self._check_rank(n)
         b = KBasis(n)
         b.build(self.product_relations(header))
         if with_dummies:

@@ -66,6 +66,14 @@ class TestSession:
         assert status == 1
         assert "*****" in err
 
+    def test_deep_nesting(self):
+        depth = 1000
+        text = "tensor a2; " + "(" * depth + "a2(i,j)" + ")" * depth + ";"
+        status, out, err = run_session(text)
+        assert status == 1
+        assert err.startswith("*****")
+        assert out == ""
+
     def test_registry_diag_on_stderr(self):
         _, _, err = run_session("tensor a2; tensor a2;")
         assert "already declared" in err
@@ -167,11 +175,29 @@ class TestRun:
         assert status == 0
         assert target.read_text().strip().split("\n")[-1] == "1"
 
+    def test_export_to_missing_dir(self, tmp_path):
+        err = io.StringIO()
+        target = tmp_path / "missing" / "basis.txt"
+        status = cli.run(["--export-basis", "a2", "--output", str(target)],
+                         stdin=io.StringIO(SETUP), stdout=io.StringIO(),
+                         stderr=err)
+        assert status == 1
+        assert "*****" in err.getvalue()
+
     def test_max_rank_flag(self):
         err = io.StringIO()
         status = cli.run(
             ["--max-rank", "3"],
             stdin=io.StringIO(SETUP + "a2(i,j)*a2(k,l);"),
+            stdout=io.StringIO(), stderr=err)
+        assert status == 1
+        assert "MByte" in err.getvalue()
+
+    def test_max_rank_guards_tsym(self):
+        err = io.StringIO()
+        status = cli.run(
+            ["--max-rank", "3"],
+            stdin=io.StringIO("tensor t; tsym t(a,b,c,d)+t(b,a,c,d);"),
             stdout=io.StringIO(), stderr=err)
         assert status == 1
         assert "MByte" in err.getvalue()

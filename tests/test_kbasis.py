@@ -21,28 +21,6 @@ def sign_relations(n):
             for p in all_perms(n) if p != e]
 
 
-class TestReduce:
-    def test_no_pivot_term(self):
-        row = galg.unit(Perm((2, 1)))
-        v = galg.unit(Perm((1, 2)))
-        assert kbasis.reduce(v, row) == v
-
-    def test_self(self):
-        row = galg.add(galg.unit(Perm((2, 1)), 3), galg.unit(Perm((1, 2)), 1))
-        assert kbasis.reduce(row, row).is_zero()
-
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            kbasis.reduce(galg.unit(Perm((1, 2))), galg.zero(2))
-
-    def test_eliminates_pivot(self):
-        row = galg.add(galg.unit(Perm((2, 1)), 2), galg.unit(Perm((1, 2)), 4))
-        v = galg.unit(Perm((2, 1)), 3)
-        r = kbasis.reduce(v, row)
-        assert r.coeff(Perm((2, 1))) == 0
-        assert r.coeff(Perm((1, 2))) == -6
-
-
 class TestSieve:
     def test_empty_basis(self):
         b = KBasis(3)
@@ -78,9 +56,56 @@ class TestSieve:
             canonical, shortest = b.sieve_trace(v)
             assert canonical == b.sieve(v)
             assert len(shortest.terms) <= len(v.terms)
-            assert len(shortest.terms) <= len(canonical.terms) or True
+            assert len(shortest.terms) <= len(canonical.terms)
             # the shortest form is equivalent: difference sieves to zero
             assert b.sieve(galg.add(shortest, galg.negate(canonical))).is_zero()
+
+
+def reference_sieve_trace(b, v):
+    """The earlier two-loop algorithm, kept as a reference: eliminate the
+    first pivot term with galg.add until none is left, keeping the
+    earliest fewest-term form."""
+    rows = {galg.leading(r)[1]: r for r in b.rows}
+    shortest = v
+    while True:
+        hit = next(((c, rows[p]) for c, p in v.terms if p in rows), None)
+        if hit is None:
+            return v, shortest
+        c, row = hit
+        v = galg.add(v, galg.scale(-c / galg.leading(row)[0], row))
+        if len(v.terms) < len(shortest.terms):
+            shortest = v
+
+
+def random_combination(rng, pool, max_terms):
+    d = {}
+    for p in rng.sample(pool, rng.randint(1, min(max_terms, len(pool)))):
+        d[p] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return galg.from_dict(pool[0].degree, d)
+
+
+class TestSieveDifferential:
+    def test_matches_reference(self):
+        # terms come from a small pool so that relations overlap and the
+        # sieved vectors hit pivots
+        rng = random.Random(20)
+        differs = 0
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            perms = list(all_perms(n))
+            pool = rng.sample(perms, min(10, len(perms)))
+            rels = [random_combination(rng, pool, 4)
+                    for _ in range(rng.randint(1, 8))]
+            b = KBasis(n).build(rels)
+            assert b.check_reduced()
+            v = random_combination(rng, pool, 8)
+            canonical, shortest = b.sieve_trace(v)
+            ref_canonical, ref_shortest = reference_sieve_trace(b, v)
+            assert canonical.terms == ref_canonical.terms
+            assert shortest.terms == ref_shortest.terms
+            assert b.sieve(v).terms == ref_canonical.terms
+            differs += shortest != canonical
+        assert differs > 0
 
 
 class TestInsert:
@@ -121,7 +146,7 @@ class TestInsert:
 
 class TestBuild:
     def test_empty(self):
-        b = kbasis.build([], KBasis(3))
+        b = KBasis(3).build([])
         assert b.dim() == 0
 
     def test_dependent_relations_skipped(self):

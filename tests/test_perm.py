@@ -92,15 +92,6 @@ class TestInverseDivide:
         assert perm.multiply(p, perm.inverse(p)) == e
         assert perm.multiply(perm.inverse(p), p) == e
 
-    def test_divide_brute_force_s3(self):
-        # divide(p1, p2) is the unique x with multiply(x, p1) = p2
-        for p1 in all_of(3):
-            for p2 in all_of(3):
-                x = perm.divide(p1, p2)
-                assert perm.multiply(x, p1) == p2
-                sols = [y for y in all_of(3) if perm.multiply(y, p1) == p2]
-                assert sols == [x]
-
 
 class TestSign:
     def test_identity_even(self):
@@ -152,15 +143,6 @@ class TestExtendConcat:
             perm.extend_right(Perm((1,)), -1)
         with pytest.raises(ValueError):
             perm.extend_left(Perm((1,)), -1)
-
-    def test_concat_trivial(self):
-        assert perm.concat(Perm((1,)), Perm((1,))).map == (1, 2)
-
-    @given(perms(4), perms(4))
-    def test_concat_degree(self, p1, p2):
-        c = perm.concat(p1, p2)
-        assert c.degree == p1.degree + p2.degree
-        assert c.map[:p1.degree] == p1.map
 
 
 class TestPacking:

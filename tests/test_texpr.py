@@ -1,13 +1,11 @@
 """Registry behaviour: declarations, normalization, relation generation."""
 
-from fractions import Fraction
-
 import pytest
 
 from tensorcanon import galg, oracle, texpr
 from tensorcanon.perm import Perm
 from tensorcanon.texpr import (DegreeLimitError, Registry, TensorError,
-                               all_perms, estimate_memory, fuse, split)
+                               all_perms, estimate_memory)
 
 from conftest import make_registry, raw_terms
 
@@ -154,27 +152,6 @@ class TestNormalize:
     def test_empty_rejected(self):
         with pytest.raises(TensorError):
             Registry().normalize([])
-
-
-class TestSplitFuse:
-    def test_split_single(self):
-        t = (2, (("tt", ("i", "j")),))
-        assert split(t) == [t]
-
-    def test_split_product(self):
-        t = (3, (("t1", ("i", "j")), ("t2", ("j", "k"))))
-        assert split(t) == [(3, (("t1", ("i", "j")),)),
-                            (1, (("t2", ("j", "k")),))]
-
-    def test_fuse_sorts_and_multiplies(self):
-        parts = [(2, (("t2", ("j", "k")),)), (3, (("t1", ("i", "j")),))]
-        c, facs = fuse(parts)
-        assert c == 6
-        assert facs == (("t1", ("i", "j")), ("t2", ("j", "k")))
-
-    def test_roundtrip(self):
-        t = (Fraction(5), (("t1", ("i", "j")), ("t2", ("j", "k"))))
-        assert fuse(split(t)) == t
 
 
 class TestRelationGeneration:
