@@ -165,9 +165,9 @@ class Registry:
         if n > self.max_rank:
             mc, mb = estimate_memory(n)
             raise DegreeLimitError(
-                f"{n} indices exceed the rank limit {self.max_rank}; S_{n} "
-                f"needs about {mc:.1f} Mcells ({mb:.1f} MByte) and grows "
-                f"factorially -- raise the rank limit to proceed")
+                f"{n} indices exceed the rank limit of {self.max_rank}; the "
+                f"group algebra of S_{n} needs about {mc:.1f} Mcells "
+                f"({mb:.1f} MByte) -- raise the rank limit to proceed")
 
     def _fix_arity(self, name: str, arity: int) -> BasicTensor:
         t = self.tensors.get(name)
