@@ -121,7 +121,7 @@ class Session:
             disp = self._display(reg.tensors[fn])
             slots.extend(texpr.IndexSlot("free", x) for x in disp)
         header = TensorHeader(tuple(factors), tuple(slots))
-        return reg.expression_basis(header, with_dummies=False), header
+        return reg.expression_basis(header), header
 
     @staticmethod
     def _display(tensor) -> tuple[str, ...]:
@@ -137,8 +137,8 @@ class Session:
 
 def memtable(max_rank: int) -> str:
     """Storage-estimate table for ranks 1..max_rank."""
-    if max_rank > 20:
-        raise ValueError("memtable limited to rank 20")
+    if not 1 <= max_rank <= 20:
+        raise ValueError("memtable takes a rank from 1 to 20")
     lines = ["rank\tMcells\tMByte"]
     for n in range(1, max_rank + 1):
         mc, mb = texpr.estimate_memory(n)
@@ -191,6 +191,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             print(f"***** {e}", file=err)
             return 1
         return 0
+    if args.max_rank < 1:
+        print("***** --max-rank must be at least 1", file=err)
+        return 1
     session = Session(out=out, err=err, max_rank=args.max_rank,
                       packed=not args.no_packed, echo=bool(args.script),
                       auto_time=args.auto_time)

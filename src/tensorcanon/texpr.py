@@ -6,11 +6,15 @@ term corresponds to a permutation of the reference slots, so the whole
 expression is a GroupVector in the group algebra of S_n.
 
 The registry stores, per basic tensor, a triangle basis of its symmetry
-and linear-identity relations.  Simplification builds the full relation
-basis for an expression (per-factor relations lifted onto the product
-slots, commutativity of identical factors, dummy renamings) and sieves
-the expression vector to its canonical representative.  Per-expression
-bases are always rebuilt, never cached.
+and linear-identity relations.  Dummy renamings are a projection, not
+relations: under the descending order, the renaming group G_D (pair swaps
+and pair permutations of the first 2p slots, acting on the right) leaves
+one standard permutation per coset pi*G_D, its minimum.  Simplification
+projects the expression onto coset minima and sieves it through the basis
+of the product relations (per-factor relations lifted onto the product
+slots, commutativity of identical factors), translated over coset minima
+and projected the same way.  Per-expression bases are always rebuilt,
+never cached.
 """
 
 from __future__ import annotations
@@ -115,6 +119,45 @@ def all_perms(n: int):
     """All elements of S_n in lexicographic order."""
     for m in _permutations(range(1, n + 1)):
         yield Perm._trusted(m)
+
+
+def coset_reps(n: int, npairs: int):
+    """The minima of the cosets pi*G_D in lexicographic order: each of the
+    first npairs slot pairs ascending, the pairs ascending by first member.
+    Without pairs this is all of S_n, as all_perms yields it."""
+    lead = 2 * npairs
+
+    def extend(prefix, rest):
+        i = len(prefix)
+        if i == lead:
+            for tail in _permutations(rest):
+                yield Perm._trusted(prefix + tail)
+            return
+        lo = prefix[i - 2 + i % 2] if i else 0
+        for x in rest:
+            if x > lo:
+                yield from extend(prefix + (x,),
+                                  tuple(y for y in rest if y != x))
+
+    return extend((), tuple(range(1, n + 1)))
+
+
+def project(v: GroupVector, npairs: int) -> GroupVector:
+    """Map every term onto its coset minimum, adding coefficients: the
+    sieve through the renaming relations of npairs dummy pairs."""
+    if not npairs:
+        return v
+    lead = 2 * npairs
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for c, p in v.terms:
+        m = p.map
+        pairs = sorted([(a, b) if a < b else (b, a)
+                        for a, b in zip(m[0:lead:2], m[1:lead:2])])
+        k = sum(pairs, ()) + m[lead:]
+        old = acc.get(k)
+        acc[k] = c if old is None else old + c
+    return galg.from_dict(v.degree,
+                          {Perm._trusted(k): c for k, c in acc.items()})
 
 
 def estimate_memory(n: int) -> tuple[float, float]:
@@ -295,21 +338,23 @@ class Registry:
     # -- relation generation -------------------------------------------
 
     def product_relations(self, header: TensorHeader) -> list[GroupVector]:
-        """Relations of the product: per-factor basis rows embedded onto
-        their slot block and closed under right translation, plus the
-        block-swap commutativity of identical factors."""
-        n = header.degree
+        """Relations of the product modulo dummy renamings: per-factor
+        basis rows embedded onto their slot block, and the block-swap
+        commutativity of identical factors, each translated right by the
+        coset representatives and projected onto coset minima."""
+        n, p = header.degree, header.npairs
         rels: list[GroupVector] = []
-        rhos = list(all_perms(n))
-        for (fname, arity), off in zip(header.factors, header.offsets()):
+        rhos = list(coset_reps(n, p))
+        offs = header.offsets()
+        for (fname, arity), off in zip(header.factors, offs):
             t = self.tensors.get(fname)
             if t is None:
                 raise TensorError(f"{fname} is not declared as tensor")
             for row in t.k0_basis().rows:
                 lifted = galg.lift_right(galg.lift_left(row, off),
                                          n - off - arity)
-                rels.extend(galg.translate_right(lifted, rho) for rho in rhos)
-        offs = header.offsets()
+                rels.extend(project(galg.translate_right(lifted, rho), p)
+                            for rho in rhos)
         for i in range(len(header.factors)):
             for j in range(i + 1, len(header.factors)):
                 if header.factors[i][0] != header.factors[j][0]:
@@ -320,14 +365,16 @@ class Registry:
                     m[offs[i] + s], m[offs[j] + s] = m[offs[j] + s], m[offs[i] + s]
                 sigma = Perm._trusted(tuple(m))
                 rels.extend(
-                    galg.add(galg.unit(perm.multiply(sigma, rho)),
-                             galg.unit(rho, -1))
+                    project(galg.add(galg.unit(perm.multiply(sigma, rho)),
+                                     galg.unit(rho, -1)), p)
                     for rho in rhos)
         return rels
 
     def dummy_relations(self, header: TensorHeader) -> list[GroupVector]:
         """Renaming relations: swap the two names of each pair, and swap
-        adjacent whole pairs (these generate the full renaming group)."""
+        adjacent whole pairs (these generate the full renaming group).
+        Simplification projects instead; these remain as the reference
+        that the projection replaces."""
         n = header.degree
         p = header.npairs
         gens: list[Perm] = []
@@ -347,25 +394,29 @@ class Registry:
                 for pi in all_perms(n))
         return rels
 
-    def expression_basis(self, header: TensorHeader,
-                         with_dummies: bool = True) -> KBasis:
-        """Build the full (transient) relation basis for a header."""
-        n = header.degree
-        self._check_rank(n)
-        b = KBasis(n)
-        b.build(self.product_relations(header))
-        if with_dummies:
-            b.build(self.dummy_relations(header))
-        return b
+    def expression_basis(self, header: TensorHeader) -> KBasis:
+        """Build the transient basis of the product relations modulo dummy
+        renamings; its rows live on coset minima."""
+        self._check_rank(header.degree)
+        return KBasis(header.degree).build(self.product_relations(header))
 
     # -- simplification ------------------------------------------------
 
     def simplify(self, expr: TensorExpr) -> SimplifyResult:
-        b = self.expression_basis(expr.header)
-        canonical, shortest = b.sieve_trace(expr.vec)
-        return SimplifyResult(TensorExpr(expr.header, canonical),
-                              TensorExpr(expr.header, shortest),
-                              b.dim())
+        """Canonical and shortest forms.  The forms met are the input, its
+        projection onto coset minima and each elimination step; shortest
+        is the one with the fewest terms, the earliest on ties.  basis_dim
+        is dim K: the basis rows plus the n! - #cosets renaming pivots."""
+        h = expr.header
+        n, p = h.degree, h.npairs
+        b = self.expression_basis(h)
+        canonical, shortest = b.sieve_trace(project(expr.vec, p))
+        if len(expr.vec) <= len(shortest):
+            shortest = expr.vec
+        cosets = factorial(n) // (2 ** p * factorial(p))
+        return SimplifyResult(TensorExpr(h, canonical),
+                              TensorExpr(h, shortest),
+                              b.dim() + factorial(n) - cosets)
 
     def equal(self, a: TensorExpr, b) -> bool:
         """Do two expressions agree under all declared relations?"""

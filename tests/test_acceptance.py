@@ -126,7 +126,7 @@ def _scenario_bases():
         out[name] = (n, b)
     reg = make_registry("s2", "a3")
     te = reg.normalize(raw_terms("a3(i,j,k)*s2(l,m)"))
-    out["s2(a3)"] = (5, reg.expression_basis(te.header, with_dummies=False))
+    out["s2(a3)"] = (5, reg.expression_basis(te.header))
     return out
 
 
@@ -216,7 +216,7 @@ def test_criterion_5_properties():
     reg = make_registry("s2", "a3")
     te = reg.normalize(raw_terms("a3(i,j,k)*s2(l,m)"))
     rels = reg.product_relations(te.header)
-    b = reg.expression_basis(te.header, with_dummies=False)
+    b = reg.expression_basis(te.header)
     assert b.dim() == oracle.span_dim(rels) == 110
     for _ in range(5):
         v = random_vector(rng, 5)

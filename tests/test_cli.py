@@ -153,6 +153,20 @@ class TestRun:
         assert cli.run(["--memtable", "5"], stdout=out) == 0
         assert out.getvalue().startswith("rank")
 
+    def test_memtable_below_one(self):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["--memtable", "-3"], stdout=out, stderr=err) == 1
+        assert err.getvalue().startswith("*****")
+        assert out.getvalue() == ""
+
+    def test_max_rank_below_one(self):
+        out, err = io.StringIO(), io.StringIO()
+        status = cli.run(["--max-rank", "-1"], stdin=io.StringIO(SETUP),
+                         stdout=out, stderr=err)
+        assert status == 1
+        assert err.getvalue().startswith("*****")
+        assert out.getvalue() == ""
+
     def test_missing_script(self):
         err = io.StringIO()
         assert cli.run(["--script", "/no/such/file"], stdout=io.StringIO(),
