@@ -116,11 +116,13 @@ class Session:
                                         for x in self._display(t)))
             return t.k0_basis(), header
         factors.sort(key=lambda f: f[0])
-        slots = []
-        for fn, arity in factors:
-            disp = self._display(reg.tensors[fn])
-            slots.extend(texpr.IndexSlot("free", x) for x in disp)
-        header = TensorHeader(tuple(factors), tuple(slots))
+        slot_names = [x for fn, _ in factors
+                      for x in self._display(reg.tensors[fn])]
+        if len(set(slot_names)) < len(slot_names):
+            slot_names = frontend.default_names(len(slot_names))
+        header = TensorHeader(tuple(factors),
+                              tuple(texpr.IndexSlot("free", x)
+                                    for x in slot_names))
         return reg.expression_basis(header), header
 
     @staticmethod

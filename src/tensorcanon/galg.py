@@ -52,12 +52,6 @@ class GroupVector:
         body = " + ".join(f"{c}*e{p}" for c, p in self.terms)
         return f"GroupVector({self.degree}, {body})"
 
-    def coeff(self, p: Perm) -> Fraction:
-        for c, q in self.terms:
-            if q == p:
-                return c
-        return Fraction(0)
-
 
 def _merge_terms(tl) -> tuple:
     acc: dict[Perm, Fraction] = {}

@@ -6,6 +6,14 @@ no row carries a nonzero coefficient on another row's pivot.  Sieving a
 vector eliminates every pivot coefficient, projecting it onto the
 complementary subspace of canonical representatives.
 
+Every row is renormed (coprime integers, positive pivot coefficient),
+also after it is reduced by a new row, so the basis of a given span is
+unique term for term, whatever relations built it and in what order; only
+the order of the rows follows their insertion.  A column index maps each
+non-pivot permutation to the rows that carry it, so an insert reduces only
+those rows.  The first insert builds it; a basis that is only loaded and
+sieved never does.
+
 The sieve eliminates the input's pivot terms one at a time, in descending
 permutation order.  The input and the result of each step are the forms
 along the way; sieve_trace also returns the one with the fewest terms,
@@ -34,6 +42,9 @@ class KBasis:
         self.degree = degree
         # pivot map-tuple -> row; dicts preserve insertion order
         self._rows: dict[tuple[int, ...], GroupVector] = {}
+        # non-pivot map-tuple -> pivots of the rows carrying it; built on
+        # the first insert, so read-only bases never pay for it
+        self._cols: dict[tuple[int, ...], set] | None = None
 
     @property
     def rows(self) -> list[GroupVector]:
@@ -89,7 +100,8 @@ class KBasis:
         return GroupVector(self.degree, terms, _normalized=True)
 
     def insert(self, v: GroupVector):
-        """Renorm v, add it as a row and reduce all other rows by it."""
+        """Renorm v, add it as a row and reduce by it the rows that carry
+        its pivot, found through the column index."""
         if v.is_zero():
             raise ValueError("cannot insert the zero vector")
         v = galg.renorm(v)
@@ -97,11 +109,34 @@ class KBasis:
         key = pp.map
         if key in self._rows:
             raise PivotCollisionError(f"pivot {pp} already present (missed sieve?)")
-        for rkey, row in self._rows.items():
-            c = row.coeff(pp)
-            if c != 0:
-                self._rows[rkey] = galg.add(row, galg.scale(-c / pc, v))
+        if self._cols is None:
+            self._cols = self._index()
+        cols = self._cols
+        for rkey in cols.pop(key, ()):
+            row = self._rows[rkey]
+            c = next(rc for rc, rp in row.terms if rp.map == key)
+            new = galg.renorm(galg.add(row, galg.scale(-c / pc, v)))
+            self._rows[rkey] = new
+            old = {p.map for _, p in row.terms[1:]}
+            now = {p.map for _, p in new.terms[1:]}
+            for k in old - now - {key}:
+                carriers = cols[k]
+                carriers.discard(rkey)
+                if not carriers:
+                    del cols[k]
+            for k in now - old:
+                cols.setdefault(k, set()).add(rkey)
+        for _, p in v.terms[1:]:
+            cols.setdefault(p.map, set()).add(key)
         self._rows[key] = v
+
+    def _index(self) -> dict[tuple[int, ...], set]:
+        """The column index of the current rows."""
+        cols: dict[tuple[int, ...], set] = {}
+        for key, row in self._rows.items():
+            for _, p in row.terms[1:]:
+                cols.setdefault(p.map, set()).add(key)
+        return cols
 
     def build(self, relations: Iterable[GroupVector]) -> "KBasis":
         """Sieve each relation and insert the nonzero residues.  Returns self."""
@@ -112,14 +147,16 @@ class KBasis:
         return self
 
     def check_reduced(self) -> bool:
-        """Invariant check: no row touches another row's pivot."""
+        """Invariant check: no row touches another row's pivot, and the
+        column index, once built, lists exactly the rows that carry each
+        non-pivot permutation."""
         for key, row in self._rows.items():
             for _, p in row.terms[1:]:
                 if p.map in self._rows:
                     return False
             if galg.leading(row)[1].map != key:
                 return False
-        return True
+        return self._cols is None or self._cols == self._index()
 
     # -- export --------------------------------------------------------
 

@@ -12,9 +12,11 @@ and pair permutations of the first 2p slots, acting on the right) leaves
 one standard permutation per coset pi*G_D, its minimum.  Simplification
 projects the expression onto coset minima and sieves it through the basis
 of the product relations (per-factor relations lifted onto the product
-slots, commutativity of identical factors), translated over coset minima
-and projected the same way.  Per-expression bases are always rebuilt,
-never cached.
+slots, commutativity of identical factors), translated right and projected
+the same way.  A factor's relations are translated once per double coset
+S_a*rho*G_D, S_a permuting its slot block on the left (the double cosets
+of Butler-Portugal).  Per-expression bases are always rebuilt, never
+cached.
 """
 
 from __future__ import annotations
@@ -142,6 +144,14 @@ def coset_reps(n: int, npairs: int):
     return extend((), tuple(range(1, n + 1)))
 
 
+def coset_minimum(m: tuple, lead: int) -> tuple:
+    """The smallest map of the coset m*G_D, where G_D renames the pairs
+    in the first `lead` slots: each pair sorted, then the pairs sorted."""
+    pairs = sorted([(a, b) if a < b else (b, a)
+                    for a, b in zip(m[0:lead:2], m[1:lead:2])])
+    return sum(pairs, ()) + m[lead:]
+
+
 def project(v: GroupVector, npairs: int) -> GroupVector:
     """Map every term onto its coset minimum, adding coefficients: the
     sieve through the renaming relations of npairs dummy pairs."""
@@ -150,14 +160,25 @@ def project(v: GroupVector, npairs: int) -> GroupVector:
     lead = 2 * npairs
     acc: dict[tuple[int, ...], Fraction] = {}
     for c, p in v.terms:
-        m = p.map
-        pairs = sorted([(a, b) if a < b else (b, a)
-                        for a, b in zip(m[0:lead:2], m[1:lead:2])])
-        k = sum(pairs, ()) + m[lead:]
+        k = coset_minimum(p.map, lead)
         old = acc.get(k)
         acc[k] = c if old is None else old + c
     return galg.from_dict(v.degree,
                           {Perm._trusted(k): c for k, c in acc.items()})
+
+
+def double_coset_reps(rhos: Iterable[Perm], lo: int, hi: int,
+                      npairs: int) -> list[Perm]:
+    """The first of `rhos` in each double coset S_a*rho*G_D, where S_a
+    permutes the values lo+1..hi of a map (acting on the left) and G_D
+    renames the first npairs slot pairs (on the right).  The key drops
+    which block value sits where (one token, 0, for all of them) and then
+    takes the coset minimum of what is left."""
+    reps: dict[tuple, Perm] = {}
+    for rho in rhos:
+        key = tuple(0 if lo < x <= hi else x for x in rho.map)
+        reps.setdefault(coset_minimum(key, 2 * npairs), rho)
+    return list(reps.values())
 
 
 def estimate_memory(n: int) -> tuple[float, float]:
@@ -340,8 +361,17 @@ class Registry:
     def product_relations(self, header: TensorHeader) -> list[GroupVector]:
         """Relations of the product modulo dummy renamings: per-factor
         basis rows embedded onto their slot block, and the block-swap
-        commutativity of identical factors, each translated right by the
-        coset representatives and projected onto coset minima."""
+        commutativity of identical factors, each translated right and
+        projected onto coset minima.
+
+        The swaps are translated by every coset minimum.  A factor's rows
+        are translated only by one rho per double coset S_a*rho*G_D, with
+        S_a the permutations of the factor's slot block: a stored basis is
+        closed under right translation by S_a (`declare_symmetry`
+        translates each relation over all of it), so for sigma in S_a the
+        translate lift(r)*lift(sigma)*rho = lift(r*sigma)*rho is already
+        in the span of the rows translated by rho, and G_D on the right
+        is absorbed by the projection."""
         n, p = header.degree, header.npairs
         rels: list[GroupVector] = []
         rhos = list(coset_reps(n, p))
@@ -350,11 +380,12 @@ class Registry:
             t = self.tensors.get(fname)
             if t is None:
                 raise TensorError(f"{fname} is not declared as tensor")
+            reps = double_coset_reps(rhos, off, off + arity, p)
             for row in t.k0_basis().rows:
                 lifted = galg.lift_right(galg.lift_left(row, off),
                                          n - off - arity)
                 rels.extend(project(galg.translate_right(lifted, rho), p)
-                            for rho in rhos)
+                            for rho in reps)
         for i in range(len(header.factors)):
             for j in range(i + 1, len(header.factors)):
                 if header.factors[i][0] != header.factors[j][0]:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -98,6 +99,25 @@ class TestBasisQueries:
         # each of the 6 cosets of the slot-symmetry group (order 4)
         # contributes 3 independent relations: dim K = 24 - 6 = 18
         assert out.strip().split("\n")[-1] == "18"
+
+    def test_product_slot_names(self):
+        # both factors display their slots as i,j(,k), so the product
+        # slots take the default names instead of printing i,i,j,j
+        decl = ("tensor a2,s2,a3; tsym a2(i,j)+a2(j,i); tsym s2(i,j)-s2(j,i);"
+                " tsym a3(i,j,k)+a3(j,i,k); tsym a3(i,j,k)-a3(j,k,i);")
+        for spec, names, dim in (("a2(s2)", "ijkl", "18"),
+                                 ("a3(a3)", "ijklmn", "710")):
+            _, out, err = run_session(decl + f"kbasis {spec};")
+            assert err == ""
+            *rows, last = out.strip().split("\n")
+            assert last == dim and len(rows) == int(dim)
+            for row in rows:
+                # a row's terms, each as the index lists of its factors
+                terms = [tuple(re.findall(r"\(([a-z,]+)\)", t))
+                         for t in row.split(" + ")]
+                assert len(set(terms)) == len(terms), row
+                for t in terms:
+                    assert sorted(",".join(t).split(",")) == list(names), row
 
     def test_unknown_tensor(self):
         _, _, err = run_session("kbasis zz;")

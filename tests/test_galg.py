@@ -46,8 +46,9 @@ class TestInvariants:
     def test_coeff_and_dict(self):
         p, q = Perm((2, 1)), Perm((1, 2))
         v = galg.add(galg.unit(p, 2), galg.unit(q, -3))
-        assert v.coeff(p) == 2
-        assert v.coeff(q) == -3
+        coeffs = {r: c for c, r in v.terms}
+        assert coeffs[p] == 2
+        assert coeffs[q] == -3
         assert v.terms == ((Fraction(2), p), (Fraction(-3), q))
 
 

@@ -136,7 +136,7 @@ class TestInsert:
                           galg.unit(Perm((1, 2, 3)))))
         assert b.check_reduced()
         first = b.rows[0]
-        assert first.coeff(Perm((2, 1, 3))) == 0
+        assert {p: c for c, p in first.terms}.get(Perm((2, 1, 3)), 0) == 0
 
     def test_check_reduced_after_build(self):
         b = KBasis(4).build(sign_relations(4))
@@ -187,3 +187,8 @@ class TestPackedStorage:
         assert loaded.degree == b.degree
         assert loaded.rows == b.rows
         assert loaded.check_reduced()
+        # the first insert indexes the loaded rows and reduces them all
+        loaded.insert(galg.unit(perm.identity(3)))
+        assert loaded.dim() == 6
+        assert loaded.check_reduced()
+        assert all(len(row) == 1 for row in loaded.rows)

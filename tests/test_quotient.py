@@ -1,12 +1,15 @@
 """The quotient by the dummy-renaming group against the full-group engine.
 
 The engine projects every term onto the minimum of its coset pi*G_D and
-builds its basis from product relations translated over coset
-representatives only.  The reference here builds the relations that this
-replaces: product relations translated over all of S_n plus the renaming
-relations of `Registry.dummy_relations`, sieved through one full triangle
-basis.  Both must give the same canonical vector, term for term, and the
-same dimension of the relation space K.
+builds its basis from product relations translated over representatives
+only: double cosets S_a*rho*G_D for each factor's rows, cosets rho*G_D
+for the swaps of identical factors.  The reference here builds the
+relations that this replaces: product relations translated over all of
+S_n plus the renaming relations of `Registry.dummy_relations`, sieved
+through one full triangle basis.  Both must give the same canonical
+vector, term for term, and the same dimension of the relation space K.
+The reference rows whose pivots are coset minima must be the engine's
+rows, term for term: a reduced basis with renormed rows is unique.
 """
 
 import io
@@ -18,7 +21,7 @@ from tensorcanon import galg, oracle, perm
 from tensorcanon.cli import Session
 from tensorcanon.kbasis import KBasis
 from tensorcanon.perm import Perm
-from tensorcanon.texpr import all_perms, coset_reps, project
+from tensorcanon.texpr import all_perms, coset_minimum, coset_reps, project
 
 from conftest import RELATIONS, make_registry, random_vector, raw_terms
 
@@ -78,12 +81,19 @@ def random_expression(rng, n, npairs):
     return " + ".join(terms), sorted(set(factors))
 
 
-def cases(seed, count, max_degree):
+def cases(seed, count, max_degree, min_pairs=1):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(2, max_degree)
-        npairs = rng.randint(1, min(3, n // 2))
+        npairs = rng.randint(min_pairs, min(3, n // 2))
         yield random_expression(rng, n, npairs)
+
+
+def pivot_rows(basis, npairs=0):
+    """The rows of a basis by pivot, those with a coset minimum as pivot."""
+    rows = {galg.leading(r)[1].map: r for r in basis.rows}
+    return {k: r for k, r in rows.items()
+            if coset_minimum(k, 2 * npairs) == k}
 
 
 class TestCosets:
@@ -126,6 +136,8 @@ class TestFullGroupReference:
         res = reg.simplify(te)
         assert res.canonical.vec.terms == ref.sieve(te.vec).terms, expr
         assert res.basis_dim == ref.dim(), expr
+        assert (pivot_rows(reg.expression_basis(h))
+                == pivot_rows(ref, h.npairs)), expr
         if use_oracle:
             diff = galg.add(te.vec, galg.negate(res.canonical.vec))
             assert oracle.member(diff, rels), expr
@@ -137,6 +149,17 @@ class TestFullGroupReference:
             self.check(expr, tensors, use_oracle=True)
         for expr, tensors in cases(7, 4, 6):
             self.check(expr, tensors, use_oracle=False)
+
+    def test_pairless_and_repeated_factors(self):
+        for expr, tensors in cases(41, 12, 6, min_pairs=0):
+            self.check(expr, tensors, use_oracle=False)
+        for expr in ("a3(a,b,c)*a3(d,e,f)", "a3(m,n,c)*a3(m,n,d)",
+                     "a3(a,b,c)*a3(c,d,e)", "a2(a,b)*a2(c,d)*v3(e)",
+                     "a2(m,b)*a2(m,n)*v3(n)", "a2(a,m)*a2(m,b)*v3(a)",
+                     "s2(a,b)*s2(c,d)*v1(e)*v1(f)*v1(g)",
+                     "a3(m,a,b)*a3(m,c,d)*v1(e)"):
+            self.check(expr, ("a2", "s2", "a3", "v1", "v3"),
+                       use_oracle=False)
 
     def test_degree_six_with_oracle(self):
         self.check("a2(m,a)*v1(b)*s2(c,m)*v2(d)",
@@ -177,6 +200,32 @@ class TestDegreeEight:
         # quotient: 105 cosets minus 102 rows, the three quadratic scalars
         assert factorial(8) - res.basis_dim == 3
         assert reg.expression_basis(te.header).dim() == 102
+
+    def test_two_pairs(self):
+        # 5040 cosets.  The relations translated over all coset minima
+        # have rank 5021 (quotient dimension 19); the engine translates a
+        # subset of them, so the same rank means the same span.
+        reg = make_registry("ri")
+        te = reg.normalize(raw_terms("ri(m,c,n,d)*ri(m,n,e,f)"))
+        h = te.header
+        assert (h.degree, h.npairs) == (8, 2)
+        b = reg.expression_basis(h)
+        assert b.dim() == 5021
+        assert b.check_reduced()
+        rhos = random.Random(8).sample(list(coset_reps(8, 2)), 100)
+        for (name, arity), off in zip(h.factors, h.offsets()):
+            for row in reg.tensors[name].k0_basis().rows:
+                lifted = galg.lift_right(galg.lift_left(row, off),
+                                         8 - off - arity)
+                for rho in rhos:
+                    rel = project(galg.translate_right(lifted, rho), 2)
+                    assert b.sieve(rel).is_zero()
+        res = reg.simplify(te)
+        assert not res.canonical.is_zero()
+        assert factorial(8) - res.basis_dim == 19
+        swapped = reg.normalize(raw_terms(
+            "ri(m,c,n,d)*ri(m,n,e,f) + ri(c,m,n,d)*ri(m,n,e,f)"))
+        assert reg.simplify(swapped).canonical.is_zero()
 
 
 def session_output(declarations, text):
