@@ -150,8 +150,7 @@ def memtable(max_rank: int) -> str:
 
 def export_basis(session: Session, spec_text: str, as_json: bool) -> str:
     """Textual or structured dump of a stored or product basis."""
-    specs = frontend._Parser(spec_text + ";")._basis_spec()
-    basis, _ = session.basis_for(specs)
+    basis, _ = session.basis_for(frontend.parse_basis_spec(spec_text))
     return basis.dump_json() if as_json else basis.dump_text()
 
 

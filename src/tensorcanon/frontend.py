@@ -15,6 +15,11 @@ Expressions are sums/differences of products of integer literals,
 indexed tensors and parenthesized subexpressions; '%' starts a comment.
 Parsing expands everything into a flat list of coefficient-weighted
 products of factors; bound names stay symbolic until evaluation.
+
+Lexing is one regex findall over the text into parallel kind and value
+lists; the parser walks them by index up to an end sentinel, so its cost
+is linear in the tokens.  No line or column is tracked while lexing: a
+ParseError rescans the text up to its token to find them.
 """
 
 from __future__ import annotations
@@ -97,219 +102,198 @@ class ShowTime(Statement):
 
 # -- lexer -------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<assign>:=)
-  | (?P<sym>[-+*(),;])
-""", re.VERBOSE)
+# One findall lexes the text.  Whitespace is what no branch matches, and
+# `\S` catches every character that starts no token, for the lexer to
+# report.  `\d` is any Unicode decimal digit, as int() reads it.
+_TOKEN_RE = re.compile(r"%[^\n]*|\d+|[A-Za-z_][A-Za-z0-9_]*|:=|\S")
+_SYMBOLS = frozenset(("-", "+", "*", "(", ")", ",", ";", ":="))
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                         "abcdefghijklmnopqrstuvwxyz_")
+_WORDS = ("int", "ident")
+
+
+def _position(text, index):
+    """Line and column of the index-th token, comments not counted."""
+    for m in _TOKEN_RE.finditer(text):
+        if m.group()[0] != "%":
+            if not index:
+                break
+            index -= 1
+    pos = m.start()
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text):
-    line, col = 1, 1
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        val = m.group()
-        if kind == "int":
-            out.append(("int", int(val), line, col))
-        elif kind == "ident":
-            out.append(("ident", val.lower(), line, col))
-        elif kind == "assign":
-            out.append((":=", val, line, col))
-        elif kind == "sym":
-            out.append((val, val, line, col))
-        nl = val.count("\n")
-        if nl:
-            line += nl
-            col = len(val) - val.rfind("\n")
+    """Parallel kind and value lists, closed by an "end" sentinel.
+    Identifiers are lowercased one token at a time: lowercasing the text
+    would turn characters such as the Kelvin sign into ASCII letters."""
+    kinds, vals = [], []
+    for tok in _TOKEN_RE.findall(text):
+        c = tok[0]
+        if tok in _SYMBOLS:
+            kind = tok
+        elif c in _IDENT_START:
+            kind, tok = "ident", tok.lower()
+        elif c.isdecimal():
+            kind, tok = "int", int(tok)
+        elif c == "%":
+            continue
         else:
-            col += len(val)
-        pos = m.end()
-    return out
+            raise ParseError(f"unexpected character {c!r}",
+                             *_position(text, len(kinds)))
+        kinds.append(kind)
+        vals.append(tok)
+    kinds.append("end")
+    vals.append(None)
+    return kinds, vals
 
 
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.toks = _tokenize(text)
+        self.kinds, self.vals = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input")
-        self.i += 1
-        return t
+    def error(self, msg, i):
+        """A ParseError at token i; the end of input has no position."""
+        if self.kinds[i] == "end":
+            return ParseError(msg)
+        return ParseError(msg, *_position(self.text, i))
 
     def expect(self, kind):
-        t = self.peek()
-        if t is None or t[0] != kind:
-            got = "end of input" if t is None else repr(t[1])
-            where = (t[2], t[3]) if t else (None, None)
-            raise ParseError(f"expected {kind!r}, got {got}", *where)
-        return self.next()
+        i = self.i
+        if self.kinds[i] != kind:
+            got = ("end of input" if self.kinds[i] == "end"
+                   else repr(self.vals[i]))
+            raise self.error(f"expected {kind!r}, got {got}", i)
+        self.i = i + 1
+        return self.vals[i]
 
     def statements(self):
         out = []
-        while self.peek() is not None:
+        while self.kinds[self.i] != "end":
             start = self.i
             stmt = self.statement()
-            stmt.src = self._join(self.toks[start:self.i])
+            stmt.src = self._join(start, self.i)
             out.append(stmt)
         return out
 
-    @staticmethod
-    def _join(toks):
-        # reconstruct statement text from the token stream
-        s = ""
-        for _, val, _, _ in toks:
-            p = str(val)
-            if s and (s[-1].isalnum() or s[-1] == "_") and (p[0].isalnum() or p[0] == "_"):
-                s += " "
-            s += p
-        return s
+    def _join(self, start, stop):
+        # rebuild the statement text from its tokens.  In a statement that
+        # parsed, only a leading keyword and the token after it can both
+        # be words (int or ident), so only the first gap may need a space.
+        kinds, vals = self.kinds, self.vals
+        words = kinds[start] in _WORDS and kinds[start + 1] in _WORDS
+        return (str(vals[start]) + " " * words
+                + "".join(map(str, vals[start + 1:stop])))
 
     def statement(self):
-        t = self.peek()
-        if t[0] == "ident":
-            word = t[1]
-            if word == "tensor":
-                self.next()
-                return TensorDecl(self._name_list())
-            if word == "tclear":
-                self.next()
-                return TClear(self._name_list())
-            if word == "tsym":
-                self.next()
-                rels = [self.expr()]
-                while self.peek() and self.peek()[0] == ",":
-                    self.next()
-                    rels.append(self.expr())
-                self.expect(";")
-                return SymDecl(rels)
-            if word == "kbasis":
-                self.next()
-                specs = [self._basis_spec()]
-                while self.peek() and self.peek()[0] == ",":
-                    self.next()
-                    specs.append(self._basis_spec())
-                self.expect(";")
-                return KBasisQuery(specs)
-            if word in ("on", "off"):
-                self.next()
-                sw = self.expect("ident")[1]
-                self.expect(";")
-                return SwitchSet(sw, word == "on")
-            if word == "showtime":
-                self.next()
-                self.expect(";")
-                return ShowTime()
-            nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
-            if nxt is not None and nxt[0] == ":=":
-                name = self.next()[1]
-                self.next()
-                e = self.expr()
-                self.expect(";")
-                return Assignment(name, e)
-        e = self.expr()
+        word = self.vals[self.i] if self.kinds[self.i] == "ident" else None
+        if word in ("tensor", "tclear", "tsym", "kbasis", "on", "off",
+                    "showtime"):
+            self.i += 1
+            if word in ("tensor", "tclear"):
+                names = self._list(self.expect, "ident")
+                stmt = (TensorDecl if word == "tensor" else TClear)(names)
+            elif word == "tsym":
+                stmt = SymDecl(self._list(self.expr))
+            elif word == "kbasis":
+                stmt = KBasisQuery(self._list(self._basis_spec))
+            elif word == "showtime":
+                stmt = ShowTime()
+            else:
+                stmt = SwitchSet(self.expect("ident"), word == "on")
+        elif word is not None and self.kinds[self.i + 1] == ":=":
+            self.i += 2
+            stmt = Assignment(word, self.expr())
+        else:
+            stmt = ExprEval(self.expr())
         self.expect(";")
-        return ExprEval(e)
+        return stmt
 
-    def _name_list(self):
-        names = [self.expect("ident")[1]]
-        while self.peek() and self.peek()[0] == ",":
-            self.next()
-            names.append(self.expect("ident")[1])
-        self.expect(";")
-        return names
+    def _list(self, item, *args):
+        """item(*args), repeated while a ',' follows."""
+        out = [item(*args)]
+        while self.kinds[self.i] == ",":
+            self.i += 1
+            out.append(item(*args))
+        return out
 
     def _basis_spec(self):
-        name = self.expect("ident")[1]
-        factors = ()
-        if self.peek() and self.peek()[0] == "(":
-            self.next()
-            fl = [self.expect("ident")[1]]
-            while self.peek() and self.peek()[0] == ",":
-                self.next()
-                fl.append(self.expect("ident")[1])
-            self.expect(")")
-            factors = tuple(fl)
+        name = self.expect("ident")
+        if self.kinds[self.i] != "(":
+            return name, ()
+        self.i += 1
+        factors = tuple(self._list(self.expect, "ident"))
+        self.expect(")")
         return name, factors
 
     # -- expressions ---------------------------------------------------
 
     def expr(self) -> TermList:
         terms = self.term()
-        while self.peek() and self.peek()[0] in "+-":
-            op = self.next()[0]
+        kinds = self.kinds
+        while kinds[self.i] in ("+", "-"):
+            minus = kinds[self.i] == "-"
+            self.i += 1
             nxt = self.term()
-            if op == "-":
-                nxt = [(-c, f) for c, f in nxt]
-            terms = terms + nxt
+            terms.extend([(-c, f) for c, f in nxt] if minus else nxt)
         return _collect(terms)
 
     def term(self) -> TermList:
+        kinds = self.kinds
         sign = 1
-        while self.peek() and self.peek()[0] == "-":
-            self.next()
+        while kinds[self.i] == "-":
+            self.i += 1
             sign = -sign
         prod = self.factor()
-        while self.peek() and self.peek()[0] == "*":
-            self.next()
+        while kinds[self.i] == "*":
+            self.i += 1
             prod = _cross(prod, self.factor())
         if sign < 0:
             prod = [(-c, f) for c, f in prod]
         return prod
 
     def factor(self) -> TermList:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input")
-        if t[0] == "int":
-            self.next()
-            return [(t[1], ())]
-        if t[0] == "(":
-            self.next()
+        kinds, vals, i = self.kinds, self.vals, self.i
+        kind = kinds[i]
+        if kind == "ident":
+            if kinds[i + 1] != "(":
+                self.i = i + 1
+                return [(1, (("ref", vals[i]),))]
+            # name(i,j,...): step over "ident ," pairs, then expect() reports
+            # any token that breaks the pattern
+            j = i + 2
+            while kinds[j] == "ident" and kinds[j + 1] == ",":
+                j += 2
+            self.i = j
+            self.expect("ident")
+            self.expect(")")
+            return [(1, (("tensor", vals[i], tuple(vals[i + 2:j + 1:2])),))]
+        if kind == "int":
+            self.i = i + 1
+            return [(vals[i], ())]
+        if kind == "(":
+            self.i = i + 1
             e = self.expr()
             self.expect(")")
             return e
-        if t[0] == "ident":
-            name = self.next()[1]
-            if self.peek() and self.peek()[0] == "(":
-                self.next()
-                idx = [self.expect("ident")[1]]
-                while self.peek() and self.peek()[0] == ",":
-                    self.next()
-                    idx.append(self.expect("ident")[1])
-                self.expect(")")
-                return [(1, (("tensor", name, tuple(idx)),))]
-            return [(1, (("ref", name),))]
-        raise ParseError(f"unexpected token {t[1]!r}", t[2], t[3])
+        raise self.error("unexpected end of input" if kind == "end"
+                         else f"unexpected token {vals[i]!r}", i)
 
 
 def _cross(a: TermList, b: TermList) -> TermList:
+    if len(a) == 1 and len(b) == 1:
+        (ca, fa), (cb, fb) = a[0], b[0]
+        return [(ca * cb, fa + fb)]
     return _collect([(ca * cb, fa + fb) for ca, fa in a for cb, fb in b])
 
 
 def _collect(terms: TermList) -> TermList:
     acc: dict[tuple, int] = {}
-    order: list[tuple] = []
     for c, f in terms:
-        if f not in acc:
-            acc[f] = 0
-            order.append(f)
-        acc[f] += c
-    return [(acc[f], f) for f in order if acc[f] != 0] or [(0, terms[0][1])]
+        acc[f] = acc.get(f, 0) + c
+    return [(c, f) for f, c in acc.items() if c] or [(0, terms[0][1])]
 
 
 def parse(text: str) -> list[Statement]:
@@ -317,6 +301,16 @@ def parse(text: str) -> list[Statement]:
         return _Parser(text).statements()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
+
+
+def parse_basis_spec(text: str) -> tuple[str, tuple[str, ...]]:
+    """One basis spec, `name` or `name(name,...)`, and nothing after it."""
+    p = _Parser(text)
+    spec = p._basis_spec()
+    if p.kinds[p.i] != "end":
+        raise p.error(f"unexpected token {p.vals[p.i]!r} after the spec",
+                      p.i)
+    return spec
 
 
 def resolve(expr: TermList, bindings: dict[str, TermList]) -> TermList:

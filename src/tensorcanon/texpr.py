@@ -364,14 +364,18 @@ class Registry:
         commutativity of identical factors, each translated right and
         projected onto coset minima.
 
-        The swaps are translated by every coset minimum.  A factor's rows
-        are translated only by one rho per double coset S_a*rho*G_D, with
-        S_a the permutations of the factor's slot block: a stored basis is
-        closed under right translation by S_a (`declare_symmetry`
-        translates each relation over all of it), so for sigma in S_a the
-        translate lift(r)*lift(sigma)*rho = lift(r*sigma)*rho is already
-        in the span of the rows translated by rho, and G_D on the right
-        is absorbed by the projection."""
+        A factor's rows are translated only by one rho per double coset
+        S_a*rho*G_D, with S_a the permutations of the factor's slot block:
+        a stored basis is closed under right translation by S_a
+        (`declare_symmetry` translates each relation over all of it), so
+        for sigma in S_a the translate lift(r)*lift(sigma)*rho =
+        lift(r*sigma)*rho is already in the span of the rows translated
+        by rho, and G_D on the right is absorbed by the projection.
+
+        A swap sigma translated by a coset minimum rho projects to
+        e_rho' - e_rho, rho' the minimum of sigma*rho.  sigma is an
+        involution, so rho' gives the same relation negated and rho' ==
+        rho gives zero: only the rho with rho' > rho are kept."""
         n, p = header.degree, header.npairs
         rels: list[GroupVector] = []
         rhos = list(coset_reps(n, p))
@@ -395,10 +399,12 @@ class Registry:
                 for s in range(a):
                     m[offs[i] + s], m[offs[j] + s] = m[offs[j] + s], m[offs[i] + s]
                 sigma = Perm._trusted(tuple(m))
-                rels.extend(
-                    project(galg.add(galg.unit(perm.multiply(sigma, rho)),
-                                     galg.unit(rho, -1)), p)
-                    for rho in rhos)
+                for rho in rhos:
+                    swapped = coset_minimum(perm.multiply(sigma, rho).map,
+                                            2 * p)
+                    if swapped > rho.map:
+                        rels.append(galg.add(galg.unit(Perm._trusted(swapped)),
+                                             galg.unit(rho, -1)))
         return rels
 
     def dummy_relations(self, header: TensorHeader) -> list[GroupVector]:

@@ -218,6 +218,16 @@ class TestRun:
         assert status == 1
         assert "*****" in err.getvalue()
 
+    def test_export_rejects_trailing_junk(self):
+        for spec in ("a2 junk", "a2(a2) x", "a2;"):
+            out, err = io.StringIO(), io.StringIO()
+            status = cli.run(["--export-basis", spec],
+                             stdin=io.StringIO(SETUP), stdout=out,
+                             stderr=err)
+            assert status == 1, spec
+            assert err.getvalue().startswith("***** unexpected token"), spec
+            assert out.getvalue() == "", spec
+
     def test_max_rank_flag(self):
         err = io.StringIO()
         status = cli.run(

@@ -1,5 +1,6 @@
 """Surface syntax: lexing, statement parsing, resolution, printing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from tensorcanon.perm import Perm
 from tensorcanon.texpr import IndexSlot, TensorHeader
 
 from conftest import make_registry, raw_terms
+import reference_parser
 
 
 class TestLexer:
@@ -28,6 +30,48 @@ class TestLexer:
         with pytest.raises(ParseError) as ei:
             parse("tensor t$;")
         assert "line 1" in str(ei.value)
+
+    def test_position_on_third_line_after_comment(self):
+        text = "tensor a2;\n% note: a2(i,j)\n  a2(i,j) + $; % tail"
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert str(ei.value) == "unexpected character '$' (line 3, column 13)"
+        assert (ei.value.line, ei.value.col) == (3, 13)
+        text = "tensor a2;\n% a comment\n  a2(i,j) + );"
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert str(ei.value) == "unexpected token ')' (line 3, column 13)"
+        assert (ei.value.line, ei.value.col) == (3, 13)
+
+    def test_end_of_input_has_no_position(self):
+        for text, msg in (("tensor tt", "expected ';', got end of input"),
+                          ("a2(i,j", "expected ')', got end of input"),
+                          ("on", "expected 'ident', got end of input"),
+                          ("a2(i,j) +", "unexpected end of input")):
+            with pytest.raises(ParseError) as ei:
+                parse(text)
+            assert str(ei.value) == msg
+            assert ei.value.line is None and ei.value.col is None
+
+    def test_non_ascii_letters_are_unexpected(self):
+        # the Kelvin sign lowercases to ASCII 'k', and dotted capital I
+        # to 'i' plus a combining dot: neither may become an identifier
+        for ch in ("\u212a", "\u0130"):
+            with pytest.raises(ParseError) as ei:
+                parse(f"tensor a{ch}b;")
+            assert str(ei.value) == (f"unexpected character {ch!r}"
+                                     " (line 1, column 9)")
+
+    def test_integer_literal_src(self):
+        (s,) = parse("007*a2(i,j);")
+        assert s.src == "7*a2(i,j);"
+        assert s.expr == [(7, (("tensor", "a2", ("i", "j")),))]
+
+    def test_deep_nesting(self):
+        depth = 1000
+        with pytest.raises(ParseError) as ei:
+            parse("(" * depth + "a2(i,j)" + ")" * depth + ";")
+        assert str(ei.value) == "expression nested too deeply"
 
 
 class TestStatements:
@@ -174,3 +218,99 @@ class TestPrinting:
     def test_default_names(self):
         assert frontend.default_names(3) == ("i", "j", "k")
         assert frontend.default_names(15)[0] == "x1"
+
+
+# -- differential test against the earlier parser ------------------------
+
+NAMES = ("a2", "s2", "ri", "v1", "x", "y_1", "T", "Ri")
+INDICES = "ijklmnab"
+# characters a mutation inserts: token starts, whitespace, characters
+# that start no token, and non-ASCII letters and digits whose lowercase
+# or int() reading differs from their ASCII look-alikes
+NOISE = ("$", ":", "=", "%", "\n", "\t", " ", "(", ")", ",", ";", "-",
+         "*", "+", "0", "7", "_", "A", "\u212a", "\u0130", "\u00c9",
+         "\u0663", "\u00b2", "\u00a0")
+
+
+def random_expr(rng, depth=0):
+    terms = []
+    for k in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.5:
+                idx = rng.sample(INDICES, rng.randint(1, 4))
+                factors.append(f"{rng.choice(NAMES)}({','.join(idx)})")
+            elif roll < 0.65:
+                factors.append(rng.choice(("1", "2", "007", "12")))
+            elif roll < 0.8 and depth < 3:
+                factors.append(f"({random_expr(rng, depth + 1)})")
+            else:
+                factors.append(rng.choice(NAMES))
+        op = ("" if k == 0 else rng.choice((" + ", " - ", "+", "-")))
+        terms.append(op + "-" * rng.choice((0, 0, 0, 1, 2))
+                     + rng.choice(("*", " * ")).join(factors))
+    return "".join(terms)
+
+
+def random_statement(rng):
+    names = lambda: ",".join(rng.sample(NAMES, rng.randint(1, 3)))
+    spec = lambda: rng.choice(NAMES) + rng.choice(("", f"({names()})"))
+    return rng.choice((
+        lambda: f"tensor {names()};",
+        lambda: f"TClear {names()};",
+        lambda: "tsym " + ", ".join(random_expr(rng)
+                                    for _ in range(rng.randint(1, 2))) + ";",
+        lambda: "kbasis " + ", ".join(spec() for _ in range(2)) + ";",
+        lambda: f"{rng.choice(('on', 'OFF'))} {rng.choice(NAMES)};",
+        lambda: f"{rng.choice(NAMES)} := {random_expr(rng)};",
+        lambda: f"{random_expr(rng)};",
+        lambda: "showtime;",
+    ))()
+
+
+def random_script(rng):
+    parts = []
+    for _ in range(rng.randint(1, 5)):
+        parts.append(random_statement(rng))
+        parts.append(rng.choice((" ", "\n", "\n\n  ", " % a remark\n", "")))
+    return "".join(parts)
+
+
+def mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 0.5:
+            text = text[:k] + rng.choice(NOISE) + text[k:]
+        elif roll < 0.8:
+            text = text[:k] + text[k + 1:]
+        else:
+            text = text[:k]
+    return text
+
+
+def outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+
+
+class TestParserDifferential:
+    """Seeded scripts, half of them mutated, give the same statements,
+    `src` strings, and error messages with line and column, as the
+    earlier parser in `reference_parser`."""
+
+    def test_matches_reference(self):
+        rng = random.Random(2605)
+        errors = 0
+        for k in range(1200):
+            text = random_script(rng)
+            if k % 2:
+                text = mutate(rng, text)
+            ref = outcome(reference_parser.parse, text)
+            assert outcome(parse, text) == ref, text
+            errors += isinstance(ref, tuple)
+        # both sides of the comparison are exercised
+        assert 300 < errors < 900

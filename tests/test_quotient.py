@@ -42,17 +42,22 @@ def reference_relations(reg, header):
             lifted = galg.lift_right(galg.lift_left(row, off),
                                      n - off - arity)
             rels.extend(galg.translate_right(lifted, rho) for rho in perms)
-    for i, j in combinations(range(len(header.factors)), 2):
-        name, arity = header.factors[i]
-        if header.factors[j][0] != name:
-            continue
-        m = list(range(1, n + 1))
-        for s in range(arity):
-            m[offs[i] + s], m[offs[j] + s] = m[offs[j] + s], m[offs[i] + s]
-        sigma = Perm(m)
+    for sigma in block_swaps(header):
         rels.extend(galg.add(galg.unit(perm.multiply(sigma, rho)),
                              galg.unit(rho, -1)) for rho in perms)
     return rels + reg.dummy_relations(header)
+
+
+def block_swaps(header):
+    """The block swap sigma of each pair of identical factors."""
+    n, offs = header.degree, header.offsets()
+    for i, j in combinations(range(len(header.factors)), 2):
+        name, arity = header.factors[i]
+        if header.factors[j][0] == name:
+            m = list(range(1, n + 1))
+            for s in range(arity):
+                m[offs[i] + s], m[offs[j] + s] = m[offs[j] + s], m[offs[i] + s]
+            yield Perm(m)
 
 
 def random_expression(rng, n, npairs):
@@ -170,6 +175,32 @@ class TestFullGroupReference:
                    ("s2", "v1", "v2", "v3", "v4", "v5"), use_oracle=False)
 
 
+class TestSwapRelations:
+    # relations generated, with each block swap translated by one of each
+    # pair of coset minima it exchanges
+    COUNTS = {"a3(a,b,c)*a3(d,e,f)": 1560, "a3(m,b,c)*a3(m,e,f)": 900,
+              "a3(m,n,c)*a3(m,n,d)": 255, "a3(m,n,k)*a3(m,n,k)": 44,
+              "a2(a,b)*a2(c,d)*v3(e)": 180, "a2(m,b)*a2(m,n)*v3(n)": 24,
+              "s2(a,b)*s2(c,d)*v1(e)*v1(f)*v1(g)": 15120,
+              "ri(a,b,c,d)*ri(a,c,b,d)": 480}
+
+    def test_counts_and_rows(self):
+        # adding the swaps translated by every coset minimum, as they were
+        # generated before, changes no row
+        reg = make_registry("a2", "s2", "a3", "ri", "v1", "v3")
+        for expr, count in self.COUNTS.items():
+            h = reg.normalize(raw_terms(expr)).header
+            rels = reg.product_relations(h)
+            assert len(rels) == count, expr
+            every = rels + [
+                project(galg.add(galg.unit(perm.multiply(sigma, rho)),
+                                 galg.unit(rho, -1)), h.npairs)
+                for sigma in block_swaps(h)
+                for rho in coset_reps(h.degree, h.npairs)]
+            assert (pivot_rows(KBasis(h.degree).build(rels))
+                    == pivot_rows(KBasis(h.degree).build(every))), expr
+
+
 class TestShortest:
     def test_shortest_sieves_to_canonical(self):
         for expr, tensors in cases(11, 30, 6):
@@ -209,6 +240,7 @@ class TestDegreeEight:
         te = reg.normalize(raw_terms("ri(m,c,n,d)*ri(m,n,e,f)"))
         h = te.header
         assert (h.degree, h.npairs) == (8, 2)
+        assert len(reg.product_relations(h)) == 16380
         b = reg.expression_basis(h)
         assert b.dim() == 5021
         assert b.check_reduced()
