@@ -162,8 +162,10 @@ def build_argparser():
     ap.add_argument("--script", metavar="FILE",
                     help="run a command script instead of reading stdin")
     ap.add_argument("--max-rank", type=int, default=8, metavar="N",
-                    help="refuse expressions and relations over N indices"
-                         " (default 8; the group algebra grows as N!)")
+                    help="refuse symmetry relations over N indices and"
+                         " expressions whose n indices and p dummy pairs"
+                         " give more than N! cosets n!/(2^p*p!)"
+                         " (default 8)")
     ap.add_argument("--export-basis", metavar="SPEC",
                     help="after the script, dump the basis of SPEC"
                          " (a tensor name or name(name,...))")

@@ -5,18 +5,21 @@ tensors sharing one header (factor list plus reference index slots).  Each
 term corresponds to a permutation of the reference slots, so the whole
 expression is a GroupVector in the group algebra of S_n.
 
-The registry stores, per basic tensor, a triangle basis of its symmetry
-and linear-identity relations.  Dummy renamings are a projection, not
-relations: under the descending order, the renaming group G_D (pair swaps
-and pair permutations of the first 2p slots, acting on the right) leaves
-one standard permutation per coset pi*G_D, its minimum.  Simplification
-projects the expression onto coset minima and sieves it through the basis
-of the product relations (per-factor relations lifted onto the product
-slots, commutativity of identical factors), translated right and projected
-the same way.  A factor's relations are translated once per double coset
-S_a*rho*G_D, S_a permuting its slot block on the left (the double cosets
-of Butler-Portugal).  Per-expression bases are always rebuilt, never
-cached.
+The registry stores, per basic tensor, a triangle basis K0 of its symmetry
+and linear-identity relations.  From K0 it derives, on first use, the
+tensor's signed monoterm group: the (g, s) with e_id = s*e_g modulo K0, the
+pair exchange of a Riemann-type tensor included.  Together with the block
+swaps of identical factors, these act on the left of a product's terms and
+the dummy renamings G_D (pair swaps and pair permutations of the first 2p
+slots) act on the right without sign.  A term is mapped onto the minimum
+of its signed double coset G*pi*G_D, or to zero when the orbit's signed
+stabilizer holds -1: first onto its coset minimum under G_D (each pair
+sorted, then the pairs sorted), then through a table of the signed orbits
+of those minima.  Only the multiterm identities are left for the sieve:
+each tensor's K0 rows projected onto its own orbit minima, lifted onto the
+factor's slot block, translated right once per double coset S_a*rho*G_D
+(S_a permuting the block) and mapped through the table.  Per-expression
+tables and bases are always rebuilt, never cached.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .perm import Perm
 # A raw term is (coefficient, factors); a factor is (tensor name, index names).
 RawFactor = tuple[str, tuple[str, ...]]
 RawTerm = tuple[Fraction | int, tuple[RawFactor, ...]]
+# A signed monoterm symmetry (g, s), g a one-line map acting on the left.
+Generator = tuple[tuple[int, ...], int]
 
 
 class TensorError(ValueError):
@@ -100,6 +105,7 @@ class BasicTensor:
     display: Optional[tuple[str, ...]] = None
     _k0: Optional[KBasis] = None
     _k0_packed: Optional[kbasis.PackedRows] = None
+    _mono: Optional[tuple[list[Generator], list[GroupVector]]] = None
 
     def k0_basis(self) -> KBasis:
         if self._k0 is not None:
@@ -115,6 +121,103 @@ class BasicTensor:
             self._k0, self._k0_packed = None, kbasis.dump_packed(b)
         else:
             self._k0, self._k0_packed = b, None
+        self._mono = None
+
+    def monoterm(self) -> tuple[list[Generator], list[GroupVector]]:
+        """Generators of the signed monoterm group and the multiterm rows,
+        derived from K0 on first use (see `monoterm_data`); a tensor
+        without relations has the trivial group and no rows."""
+        if self._mono is None:
+            if self._k0 is None and self._k0_packed is None:
+                self._mono = ([], [])
+            else:
+                self._mono = monoterm_data(self.k0_basis())
+        return self._mono
+
+
+def monoterm_data(b: KBasis) -> tuple[list[Generator], list[GroupVector]]:
+    """A generating set of the signed monoterm group of a stored basis and
+    its multiterm rows.
+
+    The group holds every (g, s) with e_id - s*e_g in the span of b, that
+    is with e_g sieving to s times what e_id sieves to; then e_rho =
+    s*e_{g*rho} for every rho, as the span is closed under right
+    translation.  If e_id itself lies in the span the tensor vanishes and
+    (id, -1) generates.  Generators are picked greedily in lexicographic
+    order, each one not yet in the group the earlier ones generate.  The
+    multiterm rows are the rows of b projected onto the orbit minima of
+    the group, the nonzero residues reduced: with the orbit relations they
+    span b again, and a two-term row with unequal coefficients stays."""
+    a = b.degree
+    ident = perm.identity(a)
+    base = b.sieve(galg.unit(ident))
+    if base.is_zero():
+        return [(ident.map, -1)], []
+    neg = galg.negate(base)
+    gens: list[Generator] = []
+    group = {ident.map: 1}
+    for g in all_perms(a):
+        r = b.sieve(galg.unit(g))
+        s = 1 if r == base else -1 if r == neg else 0
+        if s and g.map not in group:
+            gens.append((g.map, s))
+            group = _orbit(ident.map, gens, 0)[0]
+    table = signed_orbits(all_perms(a), gens, 0)
+    return gens, KBasis(a).build(orbit_project(row, table, 0)
+                                 for row in b.rows).rows
+
+
+def _orbit(root: tuple, gens: Sequence[Generator],
+           lead: int) -> tuple[dict[tuple, int], bool]:
+    """The signed orbit of the coset minimum root: each member x with the
+    sign s of e_x = s*e_root, and whether the orbit's signed stabilizer
+    holds -1 (a member met with both signs).  A generator (g, s) maps x to
+    the coset minimum of g*x; e_x = s*e_{g*x}."""
+    sign = {root: 1}
+    queue = [root]
+    zero = False
+    for x in queue:
+        sx = sign[x]
+        for g, s in gens:
+            y = tuple(g[v - 1] for v in x)
+            if lead:
+                y = coset_minimum(y, lead)
+            old = sign.get(y)
+            if old is None:
+                sign[y] = sx * s
+                queue.append(y)
+            elif old != sx * s:
+                zero = True
+    return sign, zero
+
+
+def signed_orbits(reps: Iterable[Perm], gens: Sequence[Generator],
+                  npairs: int) -> dict[tuple, Optional[tuple[int, Perm]]]:
+    """The signed orbit table over coset minima `reps`, given in ascending
+    order: each maps to (s, m) with e_x = s*e_m, m the orbit minimum (the
+    first of its orbit met), or to None when its orbit vanishes."""
+    lead = 2 * npairs
+    table: dict[tuple, Optional[tuple[int, Perm]]] = {}
+    for rep in reps:
+        if rep.map in table:
+            continue
+        sign, zero = _orbit(rep.map, gens, lead)
+        for x, s in sign.items():
+            table[x] = None if zero else (s, rep)
+    return table
+
+
+def orbit_project(v: GroupVector, table: dict, npairs: int) -> GroupVector:
+    """Map every term onto the minimum of its signed double coset through
+    a `signed_orbits` table, adding coefficients."""
+    lead = 2 * npairs
+    acc: dict[Perm, Fraction] = {}
+    for c, p in v.terms:
+        hit = table[coset_minimum(p.map, lead) if lead else p.map]
+        if hit is not None:
+            s, m = hit
+            acc[m] = acc.get(m, 0) + (c if s > 0 else -c)
+    return galg.from_dict(v.degree, acc)
 
 
 def all_perms(n: int):
@@ -225,13 +328,29 @@ class Registry:
         del self.tensors[name]
 
     def _check_rank(self, n: int):
-        """The factorial-growth guard, for expressions and relations."""
+        """The factorial-growth guard on the arity of relations, and on
+        the degree of headers without dummy pairs."""
         if n > self.max_rank:
             mc, mb = estimate_memory(n)
             raise DegreeLimitError(
                 f"{n} indices exceed the rank limit of {self.max_rank}; the "
                 f"group algebra of S_{n} needs about {mc:.1f} Mcells "
                 f"({mb:.1f} MByte) -- raise the rank limit to proceed")
+
+    def _check_cosets(self, header: TensorHeader):
+        """The guard on a header's n!/(2^p*p!) coset minima, which the
+        orbit table and the translates enumerate: at most max_rank!.
+        Without pairs that is the rank guard."""
+        n, p = header.degree, header.npairs
+        if not p:
+            return self._check_rank(n)
+        cosets = factorial(n) // (2 ** p * factorial(p))
+        limit = factorial(self.max_rank)
+        if cosets > limit:
+            raise DegreeLimitError(
+                f"{n} indices with {p} dummy pairs give {cosets} cosets, "
+                f"more than the {limit} (= {self.max_rank}!) of the rank "
+                f"limit of {self.max_rank} -- raise the rank limit to proceed")
 
     def _fix_arity(self, name: str, arity: int) -> BasicTensor:
         t = self.tensors.get(name)
@@ -358,53 +477,69 @@ class Registry:
 
     # -- relation generation -------------------------------------------
 
-    def product_relations(self, header: TensorHeader) -> list[GroupVector]:
-        """Relations of the product modulo dummy renamings: per-factor
-        basis rows embedded onto their slot block, and the block-swap
-        commutativity of identical factors, each translated right and
-        projected onto coset minima.
+    def _quotient(self, header: TensorHeader
+                  ) -> tuple[dict, list[GroupVector]]:
+        """The signed orbit table of the header's coset minima and the
+        multiterm relations mapped through it.
 
-        A factor's rows are translated only by one rho per double coset
-        S_a*rho*G_D, with S_a the permutations of the factor's slot block:
-        a stored basis is closed under right translation by S_a
-        (`declare_symmetry` translates each relation over all of it), so
-        for sigma in S_a the translate lift(r)*lift(sigma)*rho =
-        lift(r*sigma)*rho is already in the span of the rows translated
-        by rho, and G_D on the right is absorbed by the projection.
-
-        A swap sigma translated by a coset minimum rho projects to
-        e_rho' - e_rho, rho' the minimum of sigma*rho.  sigma is an
-        involution, so rho' gives the same relation negated and rho' ==
-        rho gives zero: only the rho with rho' > rho are kept."""
+        The table's generators are the factors' monoterm generators lifted
+        onto their slot blocks and the swaps of adjacent identical blocks.
+        A factor's multiterm rows are translated only by one rho per double
+        coset S_a*rho*G_D, with S_a the permutations of its slot block:
+        the stored basis is closed under right translation by S_a and its
+        rows differ from their projections by orbit relations, so every
+        translate by sigma*rho, sigma in S_a, maps into the span of those
+        by rho, and G_D on the right is absorbed by the coset minimum.  Of
+        identical factors only the first is translated: a swap carries
+        the others' translates onto its own."""
         n, p = header.degree, header.npairs
-        rels: list[GroupVector] = []
-        rhos = list(coset_reps(n, p))
-        offs = header.offsets()
-        for (fname, arity), off in zip(header.factors, offs):
+        gens: list[Generator] = []
+        multiterm = []
+        for k, ((fname, arity), off) in enumerate(zip(header.factors,
+                                                      header.offsets())):
             t = self.tensors.get(fname)
             if t is None:
                 raise TensorError(f"{fname} is not declared as tensor")
+            tgens, rows = t.monoterm()
+            head = tuple(range(1, off + 1))
+            tail = tuple(range(off + arity + 1, n + 1))
+            gens.extend((head + tuple(v + off for v in g) + tail, s)
+                        for g, s in tgens)
+            if k and header.factors[k - 1][0] == fname:
+                m = list(range(1, n + 1))
+                m[off - arity:off + arity] = m[off:off + arity] + m[off - arity:off]
+                gens.append((tuple(m), 1))
+            elif rows:
+                multiterm.append((rows, off, arity))
+        rhos = list(coset_reps(n, p))
+        table = signed_orbits(rhos, gens, p)
+        rels: list[GroupVector] = []
+        for rows, off, arity in multiterm:
             reps = double_coset_reps(rhos, off, off + arity, p)
-            for row in t.k0_basis().rows:
+            for row in rows:
                 lifted = galg.lift_right(galg.lift_left(row, off),
                                          n - off - arity)
-                rels.extend(project(galg.translate_right(lifted, rho), p)
-                            for rho in reps)
-        for i in range(len(header.factors)):
-            for j in range(i + 1, len(header.factors)):
-                if header.factors[i][0] != header.factors[j][0]:
-                    continue
-                a = header.factors[i][1]
-                m = list(range(1, n + 1))
-                for s in range(a):
-                    m[offs[i] + s], m[offs[j] + s] = m[offs[j] + s], m[offs[i] + s]
-                sigma = Perm._trusted(tuple(m))
-                for rho in rhos:
-                    swapped = coset_minimum(perm.multiply(sigma, rho).map,
-                                            2 * p)
-                    if swapped > rho.map:
-                        rels.append(galg.add(galg.unit(Perm._trusted(swapped)),
-                                             galg.unit(rho, -1)))
+                for rho in reps:
+                    r = orbit_project(galg.translate_right(lifted, rho),
+                                      table, p)
+                    if not r.is_zero():
+                        rels.append(r)
+        return table, rels
+
+    def product_relations(self, header: TensorHeader) -> list[GroupVector]:
+        """Relations of the product modulo dummy renamings, on coset
+        minima: the multiterm relations of `_quotient`, then the orbit
+        relations, e_x - s*e_m for each coset minimum x with e_x = s*e_m,
+        m its orbit minimum, and e_x for each member of a vanishing orbit.
+        Together they span the product relations projected onto coset
+        minima."""
+        table, rels = self._quotient(header)
+        for x, hit in table.items():
+            if hit is None:
+                rels.append(galg.unit(Perm._trusted(x)))
+            elif hit[1].map != x:
+                rels.append(galg.add(galg.unit(Perm._trusted(x)),
+                                     galg.unit(hit[1], -hit[0])))
         return rels
 
     def dummy_relations(self, header: TensorHeader) -> list[GroupVector]:
@@ -434,26 +569,33 @@ class Registry:
     def expression_basis(self, header: TensorHeader) -> KBasis:
         """Build the transient basis of the product relations modulo dummy
         renamings; its rows live on coset minima."""
-        self._check_rank(header.degree)
+        self._check_cosets(header)
         return KBasis(header.degree).build(self.product_relations(header))
 
     # -- simplification ------------------------------------------------
 
     def simplify(self, expr: TensorExpr) -> SimplifyResult:
-        """Canonical and shortest forms.  The forms met are the input, its
-        projection onto coset minima and each elimination step; shortest
-        is the one with the fewest terms, the earliest on ties.  basis_dim
-        is dim K: the basis rows plus the n! - #cosets renaming pivots."""
+        """Canonical and shortest forms.  The input is projected onto coset
+        minima, then onto orbit minima, and sieved through the basis of
+        the multiterm relations.  The forms met are the input, the two
+        projections and each elimination step; shortest is the one with
+        the fewest terms, the earliest on ties.  basis_dim is dim K: n!
+        less the nonzero orbits, plus the basis rows."""
         h = expr.header
         n, p = h.degree, h.npairs
-        b = self.expression_basis(h)
-        canonical, shortest = b.sieve_trace(project(expr.vec, p))
-        if len(expr.vec) <= len(shortest):
-            shortest = expr.vec
-        cosets = factorial(n) // (2 ** p * factorial(p))
+        self._check_cosets(h)
+        table, rels = self._quotient(h)
+        b = KBasis(n).build(rels)
+        cosets = project(expr.vec, p)
+        canonical, shortest = b.sieve_trace(orbit_project(cosets, table, p))
+        for form in (cosets, expr.vec):
+            if len(form) <= len(shortest):
+                shortest = form
+        orbits = sum(1 for x, hit in table.items()
+                     if hit is not None and hit[1].map == x)
         return SimplifyResult(TensorExpr(h, canonical),
                               TensorExpr(h, shortest),
-                              b.dim() + factorial(n) - cosets)
+                              factorial(n) - orbits + b.dim())
 
     def equal(self, a: TensorExpr, b) -> bool:
         """Do two expressions agree under all declared relations?"""

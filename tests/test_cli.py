@@ -237,6 +237,24 @@ class TestRun:
         assert status == 1
         assert "MByte" in err.getvalue()
 
+    def test_coset_guard(self):
+        # ri^3 has 10395 cosets, under the 8! of the default limit; one
+        # pair at degree 10 leaves 10!/2
+        ri = ("tensor ri, s2; tsym ri(i,j,k,l)+ri(j,i,k,l),"
+              " ri(i,j,k,l)+ri(i,j,l,k), ri(i,j,k,l)+ri(i,k,l,j)+ri(i,l,j,k);")
+        out, err = io.StringIO(), io.StringIO()
+        status = cli.run([], stdin=io.StringIO(
+            ri + "ri(a,b,c,d)*ri(c,d,e,f)*ri(e,f,a,b);"),
+            stdout=out, stderr=err)
+        assert (status, err.getvalue()) == (0, "")
+        assert out.getvalue() == "ri(a,b,c,d)*ri(a,b,e,f)*ri(c,d,e,f)\n"
+        out, err = io.StringIO(), io.StringIO()
+        status = cli.run([], stdin=io.StringIO(
+            ri + "ri(m,a,b,c)*ri(m,d,e,f)*s2(g,h);"), stdout=out, stderr=err)
+        assert status == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("***** 10 indices with 1 dummy"
+                                         " pairs give 1814400 cosets")
+
     def test_max_rank_guards_tsym(self):
         err = io.StringIO()
         status = cli.run(

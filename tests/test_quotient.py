@@ -1,15 +1,16 @@
 """The quotient by the dummy-renaming group against the full-group engine.
 
-The engine projects every term onto the minimum of its coset pi*G_D and
-builds its basis from product relations translated over representatives
-only: double cosets S_a*rho*G_D for each factor's rows, cosets rho*G_D
-for the swaps of identical factors.  The reference here builds the
-relations that this replaces: product relations translated over all of
-S_n plus the renaming relations of `Registry.dummy_relations`, sieved
-through one full triangle basis.  Both must give the same canonical
-vector, term for term, and the same dimension of the relation space K.
-The reference rows whose pivots are coset minima must be the engine's
-rows, term for term: a reduced basis with renormed rows is unique.
+The engine maps every term onto the minimum of its signed double coset
+G*pi*G_D, G generated by the factors' monoterm symmetries and the swaps of
+identical factors, and builds its basis from the multiterm rows alone,
+translated over one representative per double coset S_a*rho*G_D.  The
+reference here builds the relations that this replaces: product relations
+translated over all of S_n plus the renaming relations of
+`Registry.dummy_relations`, sieved through one full triangle basis.  Both
+must give the same canonical vector, term for term, and the same dimension
+of the relation space K.  The reference rows whose pivots are coset minima
+must be the rows of `Registry.expression_basis`, term for term: a reduced
+basis with renormed rows is unique.
 """
 
 import io
@@ -17,11 +18,14 @@ import random
 from itertools import combinations
 from math import factorial
 
+import pytest
+
 from tensorcanon import galg, oracle, perm
 from tensorcanon.cli import Session
 from tensorcanon.kbasis import KBasis
 from tensorcanon.perm import Perm
-from tensorcanon.texpr import all_perms, coset_minimum, coset_reps, project
+from tensorcanon.texpr import (DegreeLimitError, all_perms, coset_minimum,
+                               coset_reps, project)
 
 from conftest import RELATIONS, make_registry, random_vector, raw_terms
 
@@ -162,7 +166,9 @@ class TestFullGroupReference:
                      "a3(a,b,c)*a3(c,d,e)", "a2(a,b)*a2(c,d)*v3(e)",
                      "a2(m,b)*a2(m,n)*v3(n)", "a2(a,m)*a2(m,b)*v3(a)",
                      "s2(a,b)*s2(c,d)*v1(e)*v1(f)*v1(g)",
-                     "a3(m,a,b)*a3(m,c,d)*v1(e)"):
+                     "a3(m,a,b)*a3(m,c,d)*v1(e)",
+                     "v1(a)*v1(b)*v1(c) + 2*v1(b)*v1(a)*v1(c)"
+                     " - v1(c)*v1(a)*v1(b)", "v1(m)*v1(m)*v1(a)"):
             self.check(expr, ("a2", "s2", "a3", "v1", "v3"),
                        use_oracle=False)
 
@@ -176,17 +182,17 @@ class TestFullGroupReference:
 
 
 class TestSwapRelations:
-    # relations generated, with each block swap translated by one of each
-    # pair of coset minima it exchanges
-    COUNTS = {"a3(a,b,c)*a3(d,e,f)": 1560, "a3(m,b,c)*a3(m,e,f)": 900,
-              "a3(m,n,c)*a3(m,n,d)": 255, "a3(m,n,k)*a3(m,n,k)": 44,
-              "a2(a,b)*a2(c,d)*v3(e)": 180, "a2(m,b)*a2(m,n)*v3(n)": 24,
-              "s2(a,b)*s2(c,d)*v1(e)*v1(f)*v1(g)": 15120,
-              "ri(a,b,c,d)*ri(a,c,b,d)": 480}
+    # relations generated: the orbit relations of the non-minimal coset
+    # minima and vanishing orbits, plus the nonzero multiterm translates
+    COUNTS = {"a3(a,b,c)*a3(d,e,f)": 710, "a3(m,b,c)*a3(m,e,f)": 357,
+              "a3(m,n,c)*a3(m,n,d)": 89, "a3(m,n,k)*a3(m,n,k)": 14,
+              "a2(a,b)*a2(c,d)*v3(e)": 105, "a2(m,b)*a2(m,n)*v3(n)": 13,
+              "s2(a,b)*s2(c,d)*v1(e)*v1(f)*v1(g)": 4935,
+              "ri(a,b,c,d)*ri(a,c,b,d)": 102}
 
     def test_counts_and_rows(self):
-        # adding the swaps translated by every coset minimum, as they were
-        # generated before, changes no row
+        # adding the block swaps translated by every coset minimum changes
+        # no row
         reg = make_registry("a2", "s2", "a3", "ri", "v1", "v3")
         for expr, count in self.COUNTS.items():
             h = reg.normalize(raw_terms(expr)).header
@@ -234,13 +240,14 @@ class TestDegreeEight:
 
     def test_two_pairs(self):
         # 5040 cosets.  The relations translated over all coset minima
-        # have rank 5021 (quotient dimension 19); the engine translates a
-        # subset of them, so the same rank means the same span.
+        # have rank 5021 (quotient dimension 19); the engine's relations
+        # are orbit relations and projected factor rows, which lie in
+        # their span, so the same rank means the same span.
         reg = make_registry("ri")
         te = reg.normalize(raw_terms("ri(m,c,n,d)*ri(m,n,e,f)"))
         h = te.header
         assert (h.degree, h.npairs) == (8, 2)
-        assert len(reg.product_relations(h)) == 16380
+        assert len(reg.product_relations(h)) == 5113
         b = reg.expression_basis(h)
         assert b.dim() == 5021
         assert b.check_reduced()
@@ -258,6 +265,76 @@ class TestDegreeEight:
         swapped = reg.normalize(raw_terms(
             "ri(m,c,n,d)*ri(m,n,e,f) + ri(c,m,n,d)*ri(m,n,e,f)"))
         assert reg.simplify(swapped).canonical.is_zero()
+
+
+    def test_cubic_riemann_scalars(self):
+        # 10395 cosets, under the 8! of the default rank limit; the
+        # quotient is the 8 cubic Riemann scalars of Fulling et al.,
+        # Class. Quantum Grav. 9 (1992) 1151
+        reg = make_registry("ri")
+        te = reg.normalize(raw_terms("ri(a,b,c,d)*ri(c,d,e,f)*ri(e,f,a,b)"))
+        assert (te.header.degree, te.header.npairs) == (12, 6)
+        res = reg.simplify(te)
+        assert not res.canonical.is_zero()
+        assert factorial(12) - res.basis_dim == 8
+
+    def test_coset_guard(self):
+        # one pair at degree 10 leaves 10!/2 cosets, over 8!
+        reg = make_registry("ri", "s2")
+        te = reg.normalize(raw_terms("ri(m,a,b,c)*ri(m,d,e,f)*s2(g,h)"))
+        with pytest.raises(DegreeLimitError, match="1814400 cosets"):
+            reg.simplify(te)
+        with pytest.raises(DegreeLimitError, match="1814400 cosets"):
+            reg.expression_basis(te.header)
+
+
+class TestMonotermGroup:
+    def test_riemann_group(self):
+        # the group is every (g, s) with e_id - s*e_g in K0, found here by
+        # 2*4! sieves; it has order 8, the pair exchange included, and
+        # leaves one multiterm row, the cyclic identity
+        reg = make_registry("ri")
+        k0 = reg.tensors["ri"].k0_basis()
+        gens, rows = reg.tensors["ri"].monoterm()
+        ident = perm.identity(4)
+        expected = {(g.map, s) for g in all_perms(4) for s in (1, -1)
+                    if k0.sieve(galg.add(galg.unit(ident),
+                                         galg.unit(g, -s))).is_zero()}
+        group = {(ident.map, 1)}
+        while True:
+            more = {(tuple(g[v - 1] for v in x), s * t)
+                    for g, s in gens for x, t in group} | group
+            if more == group:
+                break
+            group = more
+        assert group == expected
+        assert len(group) == 8 and ((3, 4, 1, 2), 1) in group
+        assert len(rows) == 1 and len(rows[0]) == 3
+
+    def test_conflicting_symmetries_vanish(self):
+        decl = ("tensor t, s2, a2; tsym t(i,j)+t(j,i), t(i,j)-t(j,i);"
+                " tsym s2(i,j)-s2(j,i); tsym a2(i,j)+a2(j,i);")
+        out = session_output(decl, "t(i,j); t(i,j)*s2(k,l);"
+                             " 3*t(m,a)*a2(m,b) - t(a,m)*a2(b,m);"
+                             " t(a,b)*t(c,d) + t(c,d)*t(b,a);")
+        assert out.split("\n") == ["0", "0", "0", "0", ""]
+
+    def test_tsym_after_evaluation(self):
+        decl = "tensor t, s2; tsym s2(i,j)-s2(j,i);"
+        text = "t(i,j)*s2(i,k) + t(j,i)*s2(k,i);"
+        before = session_output(decl, text)
+        assert before != "0\n"
+        assert session_output(decl, text + "tsym t(i,j)+t(j,i);"
+                              + text) == before + "0\n"
+
+    def test_redeclared_with_other_arity(self):
+        text = "t(i,j,k)*t(k,l,m) + t(j,i,k)*t(k,l,m); t(i,i,k);"
+        fresh = session_output("tensor t; tsym t(i,j,k)-t(j,i,k);", text)
+        again = session_output(
+            "tensor t; tsym t(i,j)+t(j,i); t(i,j)*t(j,k); tclear t;"
+            " tensor t; tsym t(i,j,k)-t(j,i,k);", text)
+        assert again.split("\n")[1:] == fresh.split("\n")
+        assert fresh == "2*t(k,l,m)*t(i,j,k)\nt(i,i,k)\n"
 
 
 def session_output(declarations, text):
