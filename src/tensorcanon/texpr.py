@@ -18,8 +18,14 @@ sorted, then the pairs sorted), then through a table of the signed orbits
 of those minima.  Only the multiterm identities are left for the sieve:
 each tensor's K0 rows projected onto its own orbit minima, lifted onto the
 factor's slot block, translated right once per double coset S_a*rho*G_D
-(S_a permuting the block) and mapped through the table.  Per-expression
-tables and bases are always rebuilt, never cached.
+(S_a permuting the block) and mapped through the table.
+
+The table and the multiterm basis depend only on the factor list and the
+number of dummy pairs, never on the free index names or the coefficients,
+so a registry memoizes them per (factors, npairs).  The memo holds at most
+max_rank! coset minima in all, the guard's bound on one header, evicting
+the least recently used header first; it is cleared whenever a stored
+basis changes or a tensor is undeclared.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as _permutations
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import galg, kbasis, perm
@@ -239,7 +246,10 @@ def coset_reps(n: int, npairs: int):
                 yield Perm._trusted(prefix + tail)
             return
         lo = prefix[i - 2 + i % 2] if i else 0
-        for x in rest:
+        # a pair's first member needs 2*(pairs left) - 1 larger values
+        # unused, for its partner and the later pairs
+        stop = len(rest) if i % 2 else len(rest) - lead + i + 1
+        for x in rest[:stop]:
             if x > lo:
                 yield from extend(prefix + (x,),
                                   tuple(y for y in rest if y != x))
@@ -293,7 +303,12 @@ def estimate_memory(n: int) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    cells = factorial(n) * 4 * 2
+    return _estimate(factorial(n))
+
+
+def _estimate(count: int) -> tuple[float, float]:
+    """(million cells, MByte) of `count` rows, as `estimate_memory`."""
+    cells = count * 4 * 2
     return cells / 10**6, cells * 8 / (1024 * 1000)
 
 
@@ -307,6 +322,9 @@ class Registry:
         self.max_rank = max_rank
         self.messages: list[str] = []
         self._diag = diag
+        # (factors, npairs) -> (orbit table, multiterm basis, nonzero
+        # orbits), least recently used first
+        self._memo: dict[tuple, tuple[dict, KBasis, int]] = {}
 
     def note(self, msg: str):
         self.messages.append(msg)
@@ -326,6 +344,7 @@ class Registry:
             self.note(f"+++ {name} is not a tensor.")
             return
         del self.tensors[name]
+        self._memo.clear()
 
     def _check_rank(self, n: int):
         """The factorial-growth guard on the arity of relations, and on
@@ -347,10 +366,12 @@ class Registry:
         cosets = factorial(n) // (2 ** p * factorial(p))
         limit = factorial(self.max_rank)
         if cosets > limit:
+            mc, mb = _estimate(cosets)
             raise DegreeLimitError(
                 f"{n} indices with {p} dummy pairs give {cosets} cosets, "
                 f"more than the {limit} (= {self.max_rank}!) of the rank "
-                f"limit of {self.max_rank} -- raise the rank limit to proceed")
+                f"limit of {self.max_rank}; they need about {mc:.1f} Mcells "
+                f"({mb:.1f} MByte) -- raise the rank limit to proceed")
 
     def _fix_arity(self, name: str, arity: int) -> BasicTensor:
         t = self.tensors.get(name)
@@ -391,12 +412,13 @@ class Registry:
         if tensor.display is None:
             tensor.display = tuple(ref)
         n = len(ref)
+        where = {x: i for i, x in enumerate(ref)}
         acc: dict[Perm, Fraction] = {}
         for c, idx in parsed:
             if sorted(idx) != sorted(ref):
                 raise TensorError("symmetry relation terms must use the same"
                                   " index names")
-            pi = _term_perm(idx, ref)
+            pi = Perm._trusted(_term_map(idx, where))
             acc[pi] = acc.get(pi, Fraction(0)) + c
         g = galg.from_dict(n, acc)
         if g.is_zero():
@@ -404,6 +426,7 @@ class Registry:
         b = tensor.k0_basis()
         b.build(galg.translate_right(g, rho) for rho in all_perms(n))
         tensor.store_k0(b, self.switches["packed"])
+        self._memo.clear()
 
     # -- expression construction ---------------------------------------
 
@@ -416,44 +439,28 @@ class Registry:
         if not terms:
             raise TensorError("empty tensor expression")
         norm = []
+        tensors = self.tensors
         for c, facs in terms:
             if not facs:
                 raise TensorError("term without tensor factors")
-            facs = tuple(sorted(facs, key=lambda f: f[0]))
+            facs = sorted(facs, key=itemgetter(0))
             for fname, idx in facs:
-                self._fix_arity(fname, len(idx))
+                t = tensors.get(fname)
+                if t is None or t.arity != len(idx):
+                    self._fix_arity(fname, len(idx))
             names = [x for _, idx in facs for x in idx]
-            counts: dict[str, int] = {}
-            for x in names:
-                counts[x] = counts.get(x, 0) + 1
-            keys: list[tuple] = []
-            pair_of: dict[str, int] = {}
-            pair_names: dict[int, str] = {}
-            seen: dict[str, int] = {}
-            for x in names:
-                occ = seen.get(x, 0)
-                seen[x] = occ + 1
-                if counts[x] >= 2 and occ < 2:
-                    if occ == 0:
-                        pid = len(pair_names) + 1
-                        pair_of[x] = pid
-                        pair_names[pid] = x
-                        keys.append(("d", pid, 1))
-                    else:
-                        keys.append(("d", pair_of[x], 2))
-                else:
-                    if occ >= 2:
-                        self.note(f"+++ index {x} appears more than twice;"
-                                  " extra occurrences are kept free")
-                    keys.append(("f", x, occ))
-            norm.append((Fraction(c), tuple(f[0] for f in facs),
-                         tuple(len(f[1]) for f in facs), keys, pair_names))
+            if len(set(names)) == len(names):
+                keys, pair_names = [("f", x, 0) for x in names], {}
+            else:
+                keys, pair_names = self._slot_keys(names)
+            norm.append((c, tuple([f[0] for f in facs]), facs, keys,
+                         pair_names))
 
-        _, names0, arities0, keys0, pairs0 = norm[0]
+        _, names0, facs0, keys0, pairs0 = norm[0]
+        arities0 = [len(idx) for _, idx in facs0]
         ref_keys = [("d", k, m) for k in range(1, len(pairs0) + 1)
                     for m in (1, 2)]
         ref_keys += sorted(k for k in keys0 if k[0] == "f")
-        refset = sorted(ref_keys)
         slots = []
         for kind, a, b in ref_keys:
             if kind == "d":
@@ -463,17 +470,50 @@ class Registry:
         header = TensorHeader(tuple(zip(names0, arities0)), tuple(slots))
 
         n = header.degree
-        acc: dict[Perm, Fraction] = {}
+        where = {k: i for i, k in enumerate(ref_keys)}
+        acc: dict[tuple, Fraction | int] = {}
         for c, names, _, keys, _ in norm:
             if names != names0:
                 raise TensorError("terms of one expression must share the"
                                   " same product of basic tensors")
-            if sorted(keys) != refset:
+            # equal products give n distinct keys, so they match the
+            # reference slots exactly when each of them is one
+            m = _term_map(keys, where)
+            if m is None:
                 raise TensorError("terms of one expression must carry the"
                                   " same free indices")
-            pi = _term_perm(keys, ref_keys)
-            acc[pi] = acc.get(pi, Fraction(0)) + c
-        return TensorExpr(header, galg.from_dict(n, acc))
+            acc[m] = acc.get(m, 0) + c
+        return TensorExpr(header, galg.from_dict(
+            n, {Perm._trusted(m): Fraction(c) for m, c in acc.items()}))
+
+    def _slot_keys(self, names: list[str]
+                   ) -> tuple[list[tuple], dict[int, str]]:
+        """The slot key of each index name of a term, ("d", pair, member)
+        or ("f", name, occurrence), and the names of its pairs by id."""
+        counts: dict[str, int] = {}
+        for x in names:
+            counts[x] = counts.get(x, 0) + 1
+        keys: list[tuple] = []
+        pair_of: dict[str, int] = {}
+        pair_names: dict[int, str] = {}
+        seen: dict[str, int] = {}
+        for x in names:
+            occ = seen.get(x, 0)
+            seen[x] = occ + 1
+            if counts[x] >= 2 and occ < 2:
+                if occ == 0:
+                    pid = len(pair_names) + 1
+                    pair_of[x] = pid
+                    pair_names[pid] = x
+                    keys.append(("d", pid, 1))
+                else:
+                    keys.append(("d", pair_of[x], 2))
+            else:
+                if occ >= 2:
+                    self.note(f"+++ index {x} appears more than twice;"
+                              " extra occurrences are kept free")
+                keys.append(("f", x, occ))
+        return keys, pair_names
 
     # -- relation generation -------------------------------------------
 
@@ -525,6 +565,27 @@ class Registry:
                     if not r.is_zero():
                         rels.append(r)
         return table, rels
+
+    def _header_quotient(self, header: TensorHeader
+                         ) -> tuple[dict, KBasis, int]:
+        """The orbit table of `_quotient`, the basis of its multiterm
+        relations and the number of nonzero orbits, memoized per (factors,
+        npairs).  A new entry evicts the least recently used ones until
+        the memo holds at most max_rank! coset minima; the guard has
+        checked that the entry alone fits."""
+        key = (header.factors, header.npairs)
+        memo = self._memo
+        hit = memo.pop(key, None)
+        if hit is None:
+            table, rels = self._quotient(header)
+            orbits = sum(1 for x, h in table.items()
+                         if h is not None and h[1].map == x)
+            hit = table, KBasis(header.degree).build(rels), orbits
+            cap = factorial(self.max_rank) - len(table)
+            while memo and sum(len(e[0]) for e in memo.values()) > cap:
+                del memo[next(iter(memo))]
+        memo[key] = hit
+        return hit
 
     def product_relations(self, header: TensorHeader) -> list[GroupVector]:
         """Relations of the product modulo dummy renamings, on coset
@@ -584,15 +645,12 @@ class Registry:
         h = expr.header
         n, p = h.degree, h.npairs
         self._check_cosets(h)
-        table, rels = self._quotient(h)
-        b = KBasis(n).build(rels)
+        table, b, orbits = self._header_quotient(h)
         cosets = project(expr.vec, p)
         canonical, shortest = b.sieve_trace(orbit_project(cosets, table, p))
         for form in (cosets, expr.vec):
             if len(form) <= len(shortest):
                 shortest = form
-        orbits = sum(1 for x, hit in table.items()
-                     if hit is not None and hit[1].map == x)
         return SimplifyResult(TensorExpr(h, canonical),
                               TensorExpr(h, shortest),
                               factorial(n) - orbits + b.dim())
@@ -615,19 +673,19 @@ def _compatible(h1: TensorHeader, h2: TensorHeader) -> bool:
     return free1 == free2 and h1.npairs == h2.npairs
 
 
-def _term_perm(keys: Sequence, ref: Sequence) -> Perm:
-    """Permutation of a term relative to the reference slot list.
+def _term_map(keys: Sequence, where: dict) -> Optional[tuple[int, ...]]:
+    """The map of a term's permutation relative to the reference slots,
+    `where` giving each reference key its 0-based slot, or None when a key
+    is not a reference slot; the keys are distinct.
 
     With sigma the selection with keys = apply(sigma, ref), the term's
     permutation is sigma^{-1}; symmetry relations then close under right
     translation and dummy renamings act by right factors.
     """
-    where = {k: i + 1 for i, k in enumerate(ref)}
-    if len(where) != len(ref):
-        raise TensorError("reference slots are not distinct")
-    try:
-        sigma = tuple(where[k] for k in keys)
-    except KeyError as e:
-        raise TensorError(f"index {e.args[0]!r} not present in the reference"
-                          " slots") from None
-    return perm.inverse(Perm(sigma))
+    m = [0] * len(where)
+    for i, k in enumerate(keys, 1):
+        j = where.get(k)
+        if j is None:
+            return None
+        m[j] = i
+    return tuple(m)

@@ -255,6 +255,15 @@ class TestRun:
         assert err.getvalue().startswith("***** 10 indices with 1 dummy"
                                          " pairs give 1814400 cosets")
 
+    def test_coset_guard_estimate(self):
+        out, err = io.StringIO(), io.StringIO()
+        status = cli.run([], stdin=io.StringIO(
+            "tensor ri, s2; ri(m,a,b,c)*ri(m,d,e,f)*s2(g,h);"),
+            stdout=out, stderr=err)
+        assert status == 1 and out.getvalue() == ""
+        assert re.search(r"1814400 cosets, .* Mcells \([\d.]+ MByte\)",
+                         err.getvalue())
+
     def test_max_rank_guards_tsym(self):
         err = io.StringIO()
         status = cli.run(

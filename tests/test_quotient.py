@@ -116,6 +116,15 @@ class TestCosets:
                           for pi in all_perms(n)}
                 assert set(reps) == minima
 
+    def test_pruned_reps_are_the_filtered_group(self):
+        # the enumeration skips dead-end prefixes, not minima or order
+        for n in range(1, 8):
+            for p in range(min(3, n // 2) + 1):
+                assert list(coset_reps(n, p)) == [
+                    pi for pi in all_perms(n)
+                    if coset_minimum(pi.map, 2 * p) == pi.map]
+        assert sum(1 for _ in coset_reps(12, 6)) == 10395
+
     def test_no_pairs_is_the_whole_group(self):
         assert list(coset_reps(4, 0)) == list(all_perms(4))
 
@@ -287,6 +296,14 @@ class TestDegreeEight:
         with pytest.raises(DegreeLimitError, match="1814400 cosets"):
             reg.expression_basis(te.header)
 
+    def test_coset_guard_estimate(self):
+        # 1814400 cosets at 8 cells each, as estimate_memory counts them
+        reg = make_registry("ri", "s2")
+        te = reg.normalize(raw_terms("ri(m,a,b,c)*ri(m,d,e,f)*s2(g,h)"))
+        with pytest.raises(DegreeLimitError,
+                           match=r"about 14\.5 Mcells \(113\.4 MByte\)"):
+            reg.simplify(te)
+
 
 class TestMonotermGroup:
     def test_riemann_group(self):
@@ -335,6 +352,70 @@ class TestMonotermGroup:
             " tensor t; tsym t(i,j,k)-t(j,i,k);", text)
         assert again.split("\n")[1:] == fresh.split("\n")
         assert fresh == "2*t(k,l,m)*t(i,j,k)\nt(i,i,k)\n"
+
+
+class TestHeaderMemo:
+    """Each registry memoizes a header's orbit table and multiterm basis;
+    what it returns must not depend on what the memo holds."""
+
+    def test_tsym_after_memoized_evaluation(self):
+        reg = make_registry("s2")
+        reg.declare("t")
+        te = reg.normalize(raw_terms("t(i,j)*s2(i,k) + t(j,i)*s2(k,i)"))
+        first = reg.simplify(te)
+        assert reg.simplify(te) == first and not first.canonical.is_zero()
+        reg.declare_symmetry(raw_terms("t(i,j)+t(j,i)"))
+        assert reg.simplify(te).canonical.is_zero()
+
+    DECL = "tensor t, s2; tsym s2(i,j)-s2(j,i);"
+    TWO = "t(i,j)*s2(k,l) + t(j,i)*s2(l,k); t(m,j)*s2(m,l);"
+
+    def test_tclear_with_same_arity(self):
+        anti = self.DECL + "tsym t(i,j)+t(j,i);"
+        assert session_output(anti + self.TWO + "tclear t; tensor t;",
+                              self.TWO) == (session_output(anti, self.TWO)
+                                            + session_output(self.DECL,
+                                                             self.TWO))
+
+    def test_tclear_with_other_arity(self):
+        three = "t(i,j,k)*s2(l,m) + t(j,i,k)*s2(m,l); t(i,m,k)*s2(m,l);"
+        anti = self.DECL + "tsym t(i,j)+t(j,i);"
+        sym = "tsym t(i,j,k)-t(j,i,k);"
+        assert session_output(anti + self.TWO + "tclear t; tensor t;" + sym,
+                              three) == (session_output(anti, self.TWO)
+                                         + session_output(self.DECL + sym,
+                                                          three))
+
+    def test_kbasis_around_memo_hit(self):
+        # kbasis builds from product_relations, which must leave the
+        # memoized header alone
+        decl = ("tensor a2, ri; tsym a2(i,j)+a2(j,i);"
+                + "".join(f"tsym {r};" for r in RELATIONS["ri"]))
+        expr = "a2(i,j)*ri(k,l,m,n) + a2(k,l)*ri(i,j,m,n);"
+        rows = session_output(decl, "kbasis a2(ri);")
+        value = session_output(decl, expr)
+        assert session_output(decl, expr + "kbasis a2(ri);" + expr
+                              + "kbasis a2(ri); kbasis a2(ri);" + expr) == (
+            value + rows + value + rows + rows + value)
+        assert rows.endswith("\n690\n")
+
+    def test_eviction_matches_fresh_registry(self):
+        # under max_rank 5 the memo holds at most 120 coset minima, so
+        # these headers (24 to 120 minima each) keep evicting each other
+        exprs = ["a2(i,j)*a3(k,l,m) - a2(j,i)*a3(m,l,k)",
+                 "ri(i,j,k,l) + ri(k,l,i,j)", "ri(m,j,m,l)",
+                 "a3(i,j,k)*s2(l,m) + 2*a3(k,j,i)*s2(m,l)",
+                 "a2(p,q)*a3(r,s,t) + a2(r,s)*a3(p,q,t)",
+                 "a2(m,n)*s2(m,n)*v1(k)", "s2(i,j)*s2(k,l)"]
+        tensors = ("a2", "s2", "a3", "ri", "v1")
+        reg = make_registry(*tensors, max_rank=5)
+        for expr in exprs * 3:
+            fresh = make_registry(*tensors, max_rank=5)
+            assert (reg.simplify(reg.normalize(raw_terms(expr)))
+                    == fresh.simplify(fresh.normalize(raw_terms(expr)))), expr
+            assert sum(len(table) for table, _, _
+                       in reg._memo.values()) <= 120
+        assert len(reg._memo) < 4
 
 
 def session_output(declarations, text):

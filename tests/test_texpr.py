@@ -1,13 +1,23 @@
 """Registry behaviour: declarations, normalization, relation generation."""
 
+import random
+import re
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from tensorcanon import galg, oracle, texpr
+from tensorcanon import frontend, galg, oracle, texpr
 from tensorcanon.perm import Perm
 from tensorcanon.texpr import (DegreeLimitError, Registry, TensorError,
                                all_perms, estimate_memory)
 
 from conftest import make_registry, raw_terms
+import reference_normalize
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 class TestDeclarations:
@@ -153,6 +163,103 @@ class TestNormalize:
     def test_empty_rejected(self):
         with pytest.raises(TensorError):
             Registry().normalize([])
+
+
+def normalize_outcome(normalize, reg, terms):
+    """What normalizing gives: the header and vector or the error, then
+    the registry's diagnostics and the arities it fixed."""
+    try:
+        te = normalize(reg, terms)
+        result = (te.header, te.vec.degree, te.vec.terms)
+    except TensorError as e:
+        result = (type(e), str(e))
+    return result, reg.messages, {k: t.arity for k, t in reg.tensors.items()}
+
+
+NORMALIZE_TENSORS = ("a2", "s2", "a3", "ri", "v1", "t")
+
+
+def random_raw_terms(rng):
+    """1-6 raw terms of one random product over a few index names, so
+    names recur two and three times, some terms spoiled: another product,
+    another index name, another arity, no factors, an undeclared tensor."""
+    arity = {"a2": 2, "s2": 2, "a3": 3, "ri": 4, "v1": 1, "t": 2, "zz": 2}
+    product = rng.sample(list(arity)[:-1], rng.randint(1, 3))
+    names = rng.sample("abcdefgh", rng.randint(2, 6))
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        facs = list(product)
+        spoil = rng.random()
+        if spoil < 0.06:
+            facs[0] = rng.choice(list(arity))
+        rng.shuffle(facs)
+        term = []
+        for f in facs:
+            a = arity[f] + (rng.choice((-1, 1)) if spoil > 0.96 else 0)
+            term.append((f, tuple(rng.choice(names) for _ in range(a))))
+        if 0.06 <= spoil < 0.1:
+            f, idx = term[0]
+            term[0] = (f, idx[:-1] + (rng.choice("xyz"),)) if idx else (f, idx)
+        if 0.1 <= spoil < 0.12:
+            term = []
+        c = rng.choice((1, -1, 3, Fraction(1, 2), Fraction(-2, 3)))
+        terms.append((c, tuple(term)))
+        if rng.random() < 0.2:
+            terms.append((-c, tuple(term)))
+    if terms and rng.random() < 0.5:
+        # the same term again under its own index order keeps the header
+        terms.append((rng.choice((1, Fraction(5, 7))), terms[0][1]))
+    return terms
+
+
+class TestNormalizeDifferential:
+    """`Registry.normalize` against the reference copy of the code it
+    replaced: the same header and vector, or the same error, the same
+    diagnostics in the same order and the same arities fixed."""
+
+    def check(self, terms, tensors):
+        # normalize reads no relations, only the declared names and arities
+        fresh = [Registry() for _ in range(2)]
+        for reg in fresh:
+            for name in tensors:
+                reg.declare(name)
+        ref = normalize_outcome(reference_normalize.normalize, fresh[0],
+                                terms)
+        assert normalize_outcome(Registry.normalize, fresh[1], terms) == ref
+        return ref[0]
+
+    def test_benchmark_pools(self):
+        tensors = ("a2", "s2", "a3", "s3", "ri", "v1", "v2", "v3")
+        count = 0
+        for workload in ("contract", "free_sums"):
+            for _, text in workloads.pool(workload):
+                stmt = frontend.parse(text)[0]
+                terms = frontend.to_raw_terms(
+                    frontend.resolve(stmt.expr, {}))
+                assert isinstance(self.check(terms, tensors)[0],
+                                  texpr.TensorHeader)
+                count += 1
+        assert count == 232
+
+    def test_random_raw_terms(self):
+        rng = random.Random(707)
+        kinds = {}
+        for _ in range(3000):
+            result = self.check(random_raw_terms(rng), NORMALIZE_TENSORS)
+            kind = ("ok" if len(result) == 3
+                    else re.sub(r"\w+ takes \d+ indices, given \d+|\w+ must"
+                                r" have at least one index", "arity",
+                                result[1]))
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # the accepted case and every error are met often
+        assert kinds.pop("ok") > 400
+        assert sorted(kinds) == [
+            "arity", "empty tensor expression",
+            "term without tensor factors",
+            "terms of one expression must carry the same free indices",
+            "terms of one expression must share the same product of basic"
+            " tensors", "zz is not declared as tensor"]
+        assert min(kinds.values()) > 10, kinds
 
 
 class TestRelationGeneration:
