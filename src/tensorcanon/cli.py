@@ -16,12 +16,12 @@ from .texpr import Registry, TensorError, TensorHeader
 class Session:
     """One evaluation session: registry, name bindings and switches."""
 
-    def __init__(self, out=None, err=None, max_rank=8, packed=True,
-                 echo=False, auto_time=False):
+    def __init__(self, out=None, err=None, max_rank=8, echo=False,
+                 auto_time=False):
         self.out = out if out is not None else sys.stdout
         self.err = err if err is not None else sys.stderr
         self.registry = Registry(diag=self._diag, max_rank=max_rank)
-        self.registry.switches["packed"] = packed
+        self.switches = {"dummypri": False, "shortest": False}
         self.bindings: dict[str, frontend.TermList] = {}
         self.echo = echo
         self.auto_time = auto_time
@@ -66,10 +66,10 @@ class Session:
             for spec in stmt.specs:
                 self._print_basis(spec)
         elif isinstance(stmt, SwitchSet):
-            if stmt.name not in reg.switches:
+            if stmt.name not in self.switches:
                 self._diag(f"+++ unknown switch: {stmt.name}")
             else:
-                reg.switches[stmt.name] = stmt.on
+                self.switches[stmt.name] = stmt.on
         elif isinstance(stmt, Assignment):
             self.bindings[stmt.name] = frontend.resolve(stmt.expr,
                                                         self.bindings)
@@ -87,9 +87,9 @@ class Session:
         raw = frontend.to_raw_terms(frontend.resolve(expr, self.bindings))
         te = reg.normalize(raw)
         result = reg.simplify(te)
-        shown = (result.shortest if reg.switches["shortest"]
+        shown = (result.shortest if self.switches["shortest"]
                  else result.canonical)
-        self._print(frontend.format_expr(shown, reg.switches["dummypri"]))
+        self._print(frontend.format_expr(shown, self.switches["dummypri"]))
         if self.auto_time:
             self._print(f"Time: {round((time.monotonic() - t0) * 1000)} ms")
 
@@ -173,8 +173,6 @@ def build_argparser():
                     help="structured basis export instead of text")
     ap.add_argument("--output", metavar="FILE",
                     help="write the basis export here (default stdout)")
-    ap.add_argument("--no-packed", action="store_true",
-                    help="store bases with unpacked permutations")
     ap.add_argument("--time", action="store_true", dest="auto_time",
                     help="print elapsed time after each evaluation")
     ap.add_argument("--memtable", type=int, metavar="N",
@@ -198,8 +196,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         print("***** --max-rank must be at least 1", file=err)
         return 1
     session = Session(out=out, err=err, max_rank=args.max_rank,
-                      packed=not args.no_packed, echo=bool(args.script),
-                      auto_time=args.auto_time)
+                      echo=bool(args.script), auto_time=args.auto_time)
     if args.script:
         try:
             with open(args.script) as fh:

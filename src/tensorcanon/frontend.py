@@ -6,7 +6,7 @@ The command language is a small, case-insensitive, ';'-terminated grammar:
     tclear t1,...;             remove them (their stored bases are lost)
     tsym   expr, expr,...;     declare vanishing relations
     kbasis t1, t2(t3,...),...; print a stored or product basis
-    on sw; / off sw;           switches: dummypri, shortest, packed
+    on sw; / off sw;           switches: dummypri, shortest
     name := expr;              bind a name for later use
     expr;                      simplify and print
     showtime;                  elapsed milliseconds since the last call

@@ -1,10 +1,10 @@
 """Group-algebra vectors over S_n.
 
 A GroupVector is an exact sparse linear combination of permutations with
-rational coefficients.  Terms are kept strictly ordered by descending
-packed value of their permutation (for a fixed degree this coincides with
-descending lexicographic order on the one-line maps), with no duplicates
-and no zero coefficients.  The zero vector is the empty term list.
+rational coefficients.  Terms are kept strictly ordered in descending
+lexicographic order of the one-line maps of their permutations, with no
+duplicates and no zero coefficients.  The zero vector is the empty term
+list.
 """
 
 from __future__ import annotations

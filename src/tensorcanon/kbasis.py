@@ -11,8 +11,8 @@ also after it is reduced by a new row, so the basis of a given span is
 unique term for term, whatever relations built it and in what order; only
 the order of the rows follows their insertion.  A column index maps each
 non-pivot permutation to the rows that carry it, so an insert reduces only
-those rows.  The first insert builds it; a basis that is only loaded and
-sieved never does.
+those rows.  The first insert builds it; a basis wrapped around stored
+rows (`from_rows`) and only sieved never does.
 
 The sieve eliminates the input's pivot terms one at a time, in descending
 permutation order.  The input and the result of each step are the forms
@@ -23,12 +23,10 @@ the earliest on ties.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Iterable
 
 from . import galg
 from .galg import GroupVector
-from .perm import pack
 
 
 class PivotCollisionError(ValueError):
@@ -45,6 +43,14 @@ class KBasis:
         # non-pivot map-tuple -> pivots of the rows carrying it; built on
         # the first insert, so read-only bases never pay for it
         self._cols: dict[tuple[int, ...], set] | None = None
+
+    @classmethod
+    def from_rows(cls, degree: int, rows: Iterable[GroupVector]) -> "KBasis":
+        """A basis around rows that are already renormed and reduced, such
+        as the `rows` of another basis, keyed by their leading maps."""
+        b = cls(degree)
+        b._rows = {galg.leading(row)[1].map: row for row in rows}
+        return b
 
     @property
     def rows(self) -> list[GroupVector]:
@@ -187,29 +193,3 @@ class KBasis:
         }
         return json.dumps(obj, indent=2) + "\n"
 
-
-# -- packed storage ----------------------------------------------------
-#
-# Stored K0 bases may be kept in packed form (integer coefficient plus
-# packed permutation) as a space trade; semantics are identical.
-
-PackedRows = tuple[int, tuple[tuple[int, int], ...]]
-
-
-def dump_packed(b: KBasis) -> PackedRows:
-    rows = []
-    for row in b.rows:
-        rows.append(tuple((int(c), pack(p).value) for c, p in row.terms))
-    return b.degree, tuple(rows)
-
-
-def load_packed(pr: PackedRows) -> KBasis:
-    from .perm import PackedPerm, unpack
-
-    degree, rows = pr
-    b = KBasis(degree)
-    for row in rows:
-        terms = tuple((Fraction(c), unpack(PackedPerm(v, degree))) for c, v in row)
-        gv = GroupVector(degree, terms, _normalized=True)
-        b._rows[galg.leading(gv)[1].map] = gv
-    return b

@@ -1,8 +1,7 @@
 """Exact arithmetic on permutations of S_n.
 
-Permutations are stored in one-line ("unpacked") form: a 1-based sequence
-of slot values.  A packed decimal form is available for degrees up to 99
-(one digit per slot while the degree fits in one digit, two otherwise).
+Permutations are stored in one-line form: a 1-based sequence of slot
+values.
 
 Composition convention, used everywhere in this package:
 
@@ -15,10 +14,7 @@ and the action on sequences is slot selection:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
-
-MAX_PACK_DEGREE = 99
 
 
 class Perm:
@@ -59,14 +55,6 @@ class Perm:
         return "(" + " ".join(str(v) for v in self.map) + ")"
 
 
-@dataclass(frozen=True)
-class PackedPerm:
-    """Decimal encoding of a permutation together with its degree."""
-
-    value: int
-    degree: int
-
-
 def identity(n: int) -> Perm:
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -93,24 +81,6 @@ def inverse(p: Perm) -> Perm:
     return Perm._trusted(tuple(r))
 
 
-def sign(p: Perm) -> int:
-    """Parity of p: +1 for even, -1 for odd."""
-    seen = [False] * p.degree
-    s = 1
-    for i in range(p.degree):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p.map[j] - 1
-            length += 1
-        if length % 2 == 0:
-            s = -s
-    return s
-
-
 def apply(p: Perm, l: Sequence) -> tuple:
     """Rearrange l by slot selection: result[i] = l[p[i]]."""
     if len(l) != p.degree:
@@ -131,32 +101,3 @@ def extend_left(p: Perm, d: int) -> Perm:
     if d < 0:
         raise ValueError("extension count must be nonnegative")
     return Perm._trusted(tuple(range(1, d + 1)) + tuple(v + d for v in p.map))
-
-
-def _pack_width(n: int) -> int:
-    return 1 if n <= 9 else 2
-
-
-def pack(p: Perm) -> PackedPerm:
-    """Fixed-width decimal encoding; defined for degrees up to 99."""
-    n = p.degree
-    if n > MAX_PACK_DEGREE:
-        raise ValueError(f"cannot pack degree {n} > {MAX_PACK_DEGREE}")
-    w = _pack_width(n)
-    v = 0
-    base = 10 ** w
-    for d in p.map:
-        v = v * base + d
-    return PackedPerm(v, n)
-
-
-def unpack(x: PackedPerm) -> Perm:
-    n = x.degree
-    w = _pack_width(n)
-    base = 10 ** w
-    v = x.value
-    m = [0] * n
-    for i in range(n - 1, -1, -1):
-        m[i] = v % base
-        v //= base
-    return Perm(m)

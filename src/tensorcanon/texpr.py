@@ -37,7 +37,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import galg, kbasis, perm
+from . import galg, perm
 from .galg import GroupVector
 from .kbasis import KBasis
 from .perm import Perm
@@ -110,24 +110,18 @@ class BasicTensor:
     name: str
     arity: Optional[int] = None
     display: Optional[tuple[str, ...]] = None
-    _k0: Optional[KBasis] = None
-    _k0_packed: Optional[kbasis.PackedRows] = None
+    _k0: tuple[GroupVector, ...] = ()
     _mono: Optional[tuple[list[Generator], list[GroupVector]]] = None
 
     def k0_basis(self) -> KBasis:
-        if self._k0 is not None:
-            return self._k0
-        if self._k0_packed is not None:
-            return kbasis.load_packed(self._k0_packed)
+        """A new basis around the stored rows, so building into it leaves
+        them as they are until `store_k0`."""
         if self.arity is None:
             raise TensorError(f"arity of {self.name} is not fixed yet")
-        return KBasis(self.arity)
+        return KBasis.from_rows(self.arity, self._k0)
 
-    def store_k0(self, b: KBasis, packed: bool):
-        if packed:
-            self._k0, self._k0_packed = None, kbasis.dump_packed(b)
-        else:
-            self._k0, self._k0_packed = b, None
+    def store_k0(self, b: KBasis):
+        self._k0 = tuple(b.rows)
         self._mono = None
 
     def monoterm(self) -> tuple[list[Generator], list[GroupVector]]:
@@ -135,7 +129,7 @@ class BasicTensor:
         derived from K0 on first use (see `monoterm_data`); a tensor
         without relations has the trivial group and no rows."""
         if self._mono is None:
-            if self._k0 is None and self._k0_packed is None:
+            if not self._k0:
                 self._mono = ([], [])
             else:
                 self._mono = monoterm_data(self.k0_basis())
@@ -313,12 +307,11 @@ def _estimate(count: int) -> tuple[float, float]:
 
 
 class Registry:
-    """Declared basic tensors, their stored bases and the global switches."""
+    """Declared basic tensors and their stored bases."""
 
     def __init__(self, diag: Optional[Callable[[str], None]] = None,
                  max_rank: int = 8):
         self.tensors: dict[str, BasicTensor] = {}
-        self.switches = {"dummypri": False, "shortest": False, "packed": True}
         self.max_rank = max_rank
         self.messages: list[str] = []
         self._diag = diag
@@ -373,17 +366,24 @@ class Registry:
                 f"limit of {self.max_rank}; they need about {mc:.1f} Mcells "
                 f"({mb:.1f} MByte) -- raise the rank limit to proceed")
 
-    def _fix_arity(self, name: str, arity: int) -> BasicTensor:
+    def _fix_arity(self, name: str, arity: int,
+                   pending: Optional[dict[str, int]] = None) -> BasicTensor:
+        """Check `arity` against the one fixed for `name` and fix it if
+        none is: in the tensor, or only in `pending` when that is given,
+        whose arities count as fixed too."""
         t = self.tensors.get(name)
         if t is None:
             raise TensorError(f"{name} is not declared as tensor")
-        if t.arity is None:
+        fixed = t.arity if pending is None else t.arity or pending.get(name)
+        if fixed is None:
             if arity < 1:
                 raise TensorError(f"{name} must have at least one index")
-            t.arity = arity
-        elif t.arity != arity:
-            raise TensorError(
-                f"{name} takes {t.arity} indices, given {arity}")
+            if pending is None:
+                t.arity = arity
+            else:
+                pending[name] = arity
+        elif fixed != arity:
+            raise TensorError(f"{name} takes {fixed} indices, given {arity}")
         return t
 
     def declare_symmetry(self, terms: Sequence[RawTerm]):
@@ -406,12 +406,10 @@ class Registry:
                 raise TensorError("dummy indices are not allowed in symmetry"
                                   " relations")
             parsed.append((Fraction(c), idx))
-        self._check_rank(len(parsed[0][1]))
-        tensor = self._fix_arity(name, len(parsed[0][1]))
         ref = parsed[0][1]
-        if tensor.display is None:
-            tensor.display = tuple(ref)
         n = len(ref)
+        self._check_rank(n)
+        tensor = self._fix_arity(name, n, {})
         where = {x: i for i, x in enumerate(ref)}
         acc: dict[Perm, Fraction] = {}
         for c, idx in parsed:
@@ -420,12 +418,16 @@ class Registry:
                                   " index names")
             pi = Perm._trusted(_term_map(idx, where))
             acc[pi] = acc.get(pi, Fraction(0)) + c
+        # a refused relation leaves the tensor as it was
+        tensor.arity = n
+        if tensor.display is None:
+            tensor.display = tuple(ref)
         g = galg.from_dict(n, acc)
         if g.is_zero():
             return
         b = tensor.k0_basis()
         b.build(galg.translate_right(g, rho) for rho in all_perms(n))
-        tensor.store_k0(b, self.switches["packed"])
+        tensor.store_k0(b)
         self._memo.clear()
 
     # -- expression construction ---------------------------------------
@@ -434,12 +436,14 @@ class Registry:
         """Canonical factor order, dummy detection and the shared header.
 
         Repeated index names pair up by their first two occurrences; any
-        further occurrence stays free, with a diagnostic.
+        further occurrence stays free, with a diagnostic.  The arities the
+        expression fixes are kept only if it is accepted.
         """
         if not terms:
             raise TensorError("empty tensor expression")
         norm = []
         tensors = self.tensors
+        pending: dict[str, int] = {}
         for c, facs in terms:
             if not facs:
                 raise TensorError("term without tensor factors")
@@ -447,7 +451,7 @@ class Registry:
             for fname, idx in facs:
                 t = tensors.get(fname)
                 if t is None or t.arity != len(idx):
-                    self._fix_arity(fname, len(idx))
+                    self._fix_arity(fname, len(idx), pending)
             names = [x for _, idx in facs for x in idx]
             if len(set(names)) == len(names):
                 keys, pair_names = [("f", x, 0) for x in names], {}
@@ -483,6 +487,8 @@ class Registry:
                 raise TensorError("terms of one expression must carry the"
                                   " same free indices")
             acc[m] = acc.get(m, 0) + c
+        for fname, arity in pending.items():
+            tensors[fname].arity = arity
         return TensorExpr(header, galg.from_dict(
             n, {Perm._trusted(m): Fraction(c) for m, c in acc.items()}))
 

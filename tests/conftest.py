@@ -1,9 +1,11 @@
-"""Shared fixtures: scenario registries and random vector generation."""
+"""Shared fixtures: scenario registries, random vector generation and a
+parity oracle."""
 
 from fractions import Fraction
 import random
 
 from tensorcanon import frontend, galg
+from tensorcanon.perm import Perm
 from tensorcanon.texpr import Registry, all_perms
 
 # The standard scenarios: an antisymmetric and a symmetric pair tensor,
@@ -42,3 +44,11 @@ def random_vector(rng: random.Random, n: int, max_terms: int = 4):
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         d[p] = d.get(p, Fraction(0)) + c
     return galg.from_dict(n, d)
+
+
+def inversion_sign(p: Perm) -> int:
+    """Parity of p, (-1)^(number of inversions), independent of the engine."""
+    m = p.map
+    inv = sum(1 for i in range(len(m)) for j in range(i + 1, len(m))
+              if m[i] > m[j])
+    return -1 if inv % 2 else 1

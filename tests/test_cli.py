@@ -45,6 +45,12 @@ class TestSession:
         _, _, err = run_session("on nosuch;")
         assert "unknown switch" in err
 
+    def test_packed_is_unknown(self):
+        script = SETUP + "a2(j,i); on shortest; a2(i,j)-2*a2(j,i);"
+        status, out, err = run_session("on packed; " + script)
+        assert (status, err) == (0, "+++ unknown switch: packed\n")
+        assert out == run_session(script)[1] == "(-1)*a2(i,j)\n3*a2(i,j)\n"
+
     def test_shortest_switch(self):
         script = (SETUP
                   + "on shortest; a2(i,j)+a2(j,i);")
@@ -272,3 +278,31 @@ class TestRun:
             stdout=io.StringIO(), stderr=err)
         assert status == 1
         assert "MByte" in err.getvalue()
+
+
+class TestRefusalLeavesRegistry:
+    """A refused statement fixes no arity and no display names."""
+
+    def run(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        status = cli.run([], stdin=io.StringIO(text), stdout=out, stderr=err)
+        return status, out.getvalue(), err.getvalue()
+
+    def test_refused_product_fixes_no_arity(self):
+        assert self.run(
+            "tensor t, s; t(i,j,k)*s(l) + t(i,j,k); t(i,j)*s(k);") == (
+            1, "s(k)*t(i,j)\n", "***** terms of one expression must share"
+            " the same product of basic tensors\n")
+
+    def test_refused_arity_fixes_no_arity(self):
+        assert self.run("tensor a; a(i,j)+a(i,j,k); a(i,j,k);") == (
+            1, "a(i,j,k)\n", "***** a takes 2 indices, given 3\n")
+
+    def test_refused_tsym_fixes_no_arity_or_names(self):
+        status, out, err = self.run(
+            "tensor u; tsym u(i,j)+u(i,k); tsym u(a,b,c)-u(b,a,c);"
+            " kbasis u;")
+        assert (status, err) == (1, "***** symmetry relation terms must use"
+                                    " the same index names\n")
+        assert out.split("\n")[0] == "u(b,a,c) + (-1)*u(a,b,c)"
+        assert out.endswith("\n3\n")

@@ -9,12 +9,12 @@ from tensorcanon.kbasis import KBasis
 from tensorcanon.perm import Perm
 from tensorcanon.texpr import all_perms
 
-from conftest import make_registry, random_vector, raw_terms
+from conftest import inversion_sign, make_registry, random_vector, raw_terms
 
 
 def parity_relations(n):
     e = perm.identity(n)
-    return [galg.add(galg.unit(p), galg.unit(e, -perm.sign(p)))
+    return [galg.add(galg.unit(p), galg.unit(e, -inversion_sign(p)))
             for p in all_perms(n) if p != e]
 
 

@@ -1,24 +1,17 @@
-"""Permutation arithmetic: composition convention, inverses, parity, packing."""
+"""Permutation arithmetic: composition convention, inverses, slot selection,
+extensions."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tensorcanon import perm
-from tensorcanon.perm import PackedPerm, Perm
+from tensorcanon.perm import Perm
 
 
 def perms(max_degree=6):
     return (st.integers(1, max_degree)
             .flatmap(lambda n: st.permutations(list(range(1, n + 1))))
             .map(Perm))
-
-
-def inversion_sign(p: Perm) -> int:
-    # independent parity oracle: (-1)^{number of inversions}
-    m = p.map
-    inv = sum(1 for i in range(len(m)) for j in range(i + 1, len(m))
-              if m[i] > m[j])
-    return -1 if inv % 2 else 1
 
 
 def all_of(n):
@@ -93,23 +86,6 @@ class TestInverseDivide:
         assert perm.multiply(perm.inverse(p), p) == e
 
 
-class TestSign:
-    def test_identity_even(self):
-        assert perm.sign(perm.identity(4)) == 1
-
-    def test_transposition_odd(self):
-        assert perm.sign(Perm((2, 1, 3))) == -1
-
-    def test_matches_inversion_count_s4(self):
-        for p in all_of(4):
-            assert perm.sign(p) == inversion_sign(p)
-
-    @given(perms())
-    def test_multiplicative(self, p):
-        q = perm.inverse(p)
-        assert perm.sign(perm.multiply(p, q)) == perm.sign(p) * perm.sign(q)
-
-
 class TestApply:
     def test_identity(self):
         assert perm.apply(perm.identity(3), ("a", "b", "c")) == ("a", "b", "c")
@@ -144,28 +120,3 @@ class TestExtendConcat:
         with pytest.raises(ValueError):
             perm.extend_left(Perm((1,)), -1)
 
-
-class TestPacking:
-    def test_one_digit(self):
-        assert perm.pack(Perm((2, 1))) == PackedPerm(21, 2)
-        assert perm.pack(Perm((2, 1, 3))).value == 213
-
-    def test_two_digit(self):
-        p = perm.identity(10)
-        assert perm.pack(p).value == 1020304050607080910
-
-    @given(perms())
-    def test_roundtrip(self, p):
-        assert perm.unpack(perm.pack(p)) == p
-
-    def test_roundtrip_degree_12(self):
-        import random
-        rng = random.Random(7)
-        m = list(range(1, 13))
-        rng.shuffle(m)
-        p = Perm(m)
-        assert perm.unpack(perm.pack(p)) == p
-
-    def test_pack_limit(self):
-        with pytest.raises(ValueError):
-            perm.pack(perm.identity(100))
