@@ -15,17 +15,19 @@ slots) act on the right without sign.  A term is mapped onto the minimum
 of its signed double coset G*pi*G_D, or to zero when the orbit's signed
 stabilizer holds -1: first onto its coset minimum under G_D (each pair
 sorted, then the pairs sorted), then through a table of the signed orbits
-of those minima.  Only the multiterm identities are left for the sieve:
-each tensor's K0 rows projected onto its own orbit minima, lifted onto the
-factor's slot block, translated right once per double coset S_a*rho*G_D
-(S_a permuting the block) and mapped through the table.
+of those minima, filled one orbit at a time when a lookup first meets it.
+Only the multiterm identities are left for the sieve: each tensor's K0
+rows projected onto its own orbit minima, lifted onto the factor's slot
+block, translated right once per double coset S_a*rho*G_D (S_a permuting
+the block) and mapped through the table.  Reading a result's basis_dim
+fills the whole table.
 
 The table and the multiterm basis depend only on the factor list and the
 number of dummy pairs, never on the free index names or the coefficients,
-so a registry memoizes them per (factors, npairs).  The memo holds at most
-max_rank! coset minima in all, the guard's bound on one header, evicting
-the least recently used header first; it is cleared whenever a stored
-basis changes or a tensor is undeclared.
+so a registry memoizes them per (factors, npairs).  The memo charges each
+header its n!/(2^p*p!) coset minima, at most max_rank! in all (the guard's
+bound on one header), evicting the least recently used header first; it is
+cleared whenever a stored basis changes or a tensor is undeclared.
 """
 
 from __future__ import annotations
@@ -102,7 +104,16 @@ class TensorExpr:
 class SimplifyResult:
     canonical: TensorExpr
     shortest: TensorExpr
-    basis_dim: int
+    quotient: tuple[OrbitTable, KBasis] = field(repr=False, compare=False)
+
+    @property
+    def basis_dim(self) -> int:
+        """dim K: n! less the nonzero orbits, plus the rows of the basis;
+        `quotient` holds the header's orbit table, which this fills."""
+        table, b = self.quotient
+        orbits = sum(1 for x, h in table.fill().items()
+                     if h is not None and h[1].map == x)
+        return factorial(table.n) - orbits + b.dim()
 
 
 @dataclass
@@ -163,7 +174,7 @@ def monoterm_data(b: KBasis) -> tuple[list[Generator], list[GroupVector]]:
         if s and g.map not in group:
             gens.append((g.map, s))
             group = _orbit(ident.map, gens, 0)[0]
-    table = signed_orbits(all_perms(a), gens, 0)
+    table = OrbitTable(a, gens, 0)
     return gens, KBasis(a).build(orbit_project(row, table, 0)
                                  for row in b.rows).rows
 
@@ -174,13 +185,14 @@ def _orbit(root: tuple, gens: Sequence[Generator],
     sign s of e_x = s*e_root, and whether the orbit's signed stabilizer
     holds -1 (a member met with both signs).  A generator (g, s) maps x to
     the coset minimum of g*x; e_x = s*e_{g*x}."""
+    gens = [((0,) + g, s) for g, s in gens]
     sign = {root: 1}
     queue = [root]
     zero = False
     for x in queue:
         sx = sign[x]
         for g, s in gens:
-            y = tuple(g[v - 1] for v in x)
+            y = tuple(map(g.__getitem__, x))
             if lead:
                 y = coset_minimum(y, lead)
             old = sign.get(y)
@@ -192,25 +204,36 @@ def _orbit(root: tuple, gens: Sequence[Generator],
     return sign, zero
 
 
-def signed_orbits(reps: Iterable[Perm], gens: Sequence[Generator],
-                  npairs: int) -> dict[tuple, Optional[tuple[int, Perm]]]:
-    """The signed orbit table over coset minima `reps`, given in ascending
-    order: each maps to (s, m) with e_x = s*e_m, m the orbit minimum (the
-    first of its orbit met), or to None when its orbit vanishes."""
-    lead = 2 * npairs
-    table: dict[tuple, Optional[tuple[int, Perm]]] = {}
-    for rep in reps:
-        if rep.map in table:
-            continue
-        sign, zero = _orbit(rep.map, gens, lead)
-        for x, s in sign.items():
-            table[x] = None if zero else (s, rep)
-    return table
+class OrbitTable(dict):
+    """The signed orbit table of the coset minima of n slots with npairs
+    dummy pairs, filled one orbit at a time: looking up a minimum x not
+    yet present walks its orbit and enters every member y as (s, m), with
+    e_y = s*e_m and m the orbit minimum, or as None when the orbit
+    vanishes."""
+
+    def __init__(self, n: int, gens: Sequence[Generator], npairs: int):
+        super().__init__()
+        self.n, self.gens, self.npairs = n, gens, npairs
+
+    def __missing__(self, x: tuple) -> Optional[tuple[int, Perm]]:
+        sign, zero = _orbit(x, self.gens, 2 * self.npairs)
+        m = min(sign)
+        sm, pm = sign[m], Perm._trusted(m)
+        self.update({y: None if zero else (s * sm, pm)
+                     for y, s in sign.items()})
+        return self[x]
+
+    def fill(self) -> "OrbitTable":
+        """Walk every orbit not yet entered, in ascending order of minima."""
+        for rho in coset_reps(self.n, self.npairs):
+            if rho.map not in self:
+                self.__missing__(rho.map)
+        return self
 
 
 def orbit_project(v: GroupVector, table: dict, npairs: int) -> GroupVector:
     """Map every term onto the minimum of its signed double coset through
-    a `signed_orbits` table, adding coefficients."""
+    an `OrbitTable`, adding coefficients."""
     lead = 2 * npairs
     acc: dict[Perm, Fraction] = {}
     for c, p in v.terms:
@@ -254,6 +277,8 @@ def coset_reps(n: int, npairs: int):
 def coset_minimum(m: tuple, lead: int) -> tuple:
     """The smallest map of the coset m*G_D, where G_D renames the pairs
     in the first `lead` slots: each pair sorted, then the pairs sorted."""
+    if lead == 2:
+        return m if m[0] < m[1] else (m[1], m[0]) + m[2:]
     pairs = sorted([(a, b) if a < b else (b, a)
                     for a, b in zip(m[0:lead:2], m[1:lead:2])])
     return sum(pairs, ()) + m[lead:]
@@ -315,9 +340,9 @@ class Registry:
         self.max_rank = max_rank
         self.messages: list[str] = []
         self._diag = diag
-        # (factors, npairs) -> (orbit table, multiterm basis, nonzero
-        # orbits), least recently used first
-        self._memo: dict[tuple, tuple[dict, KBasis, int]] = {}
+        # (factors, npairs) -> (orbit table, multiterm basis, coset
+        # count), least recently used first
+        self._memo: dict[tuple, tuple[OrbitTable, KBasis, int]] = {}
 
     def note(self, msg: str):
         self.messages.append(msg)
@@ -432,12 +457,14 @@ class Registry:
 
     # -- expression construction ---------------------------------------
 
-    def normalize(self, terms: Sequence[RawTerm]) -> TensorExpr:
+    def normalize(self, terms: Sequence[RawTerm],
+                  guard: bool = False) -> TensorExpr:
         """Canonical factor order, dummy detection and the shared header.
 
         Repeated index names pair up by their first two occurrences; any
         further occurrence stays free, with a diagnostic.  The arities the
-        expression fixes are kept only if it is accepted.
+        expression fixes are kept only if it is accepted (with `guard`, by
+        the coset guard of `simplify` too).
         """
         if not terms:
             raise TensorError("empty tensor expression")
@@ -487,6 +514,8 @@ class Registry:
                 raise TensorError("terms of one expression must carry the"
                                   " same free indices")
             acc[m] = acc.get(m, 0) + c
+        if guard:
+            self._check_cosets(header)
         for fname, arity in pending.items():
             tensors[fname].arity = arity
         return TensorExpr(header, galg.from_dict(
@@ -523,10 +552,10 @@ class Registry:
 
     # -- relation generation -------------------------------------------
 
-    def _quotient(self, header: TensorHeader
-                  ) -> tuple[dict, list[GroupVector]]:
-        """The signed orbit table of the header's coset minima and the
-        multiterm relations mapped through it.
+    def _quotient(self, header: TensorHeader, full: bool = False
+                  ) -> tuple[OrbitTable, list[GroupVector]]:
+        """The signed orbit table of the header's coset minima, filled
+        first if `full`, and the multiterm relations mapped through it.
 
         The table's generators are the factors' monoterm generators lifted
         onto their slot blocks and the swaps of adjacent identical blocks.
@@ -557,8 +586,10 @@ class Registry:
                 gens.append((tuple(m), 1))
             elif rows:
                 multiterm.append((rows, off, arity))
-        rhos = list(coset_reps(n, p))
-        table = signed_orbits(rhos, gens, p)
+        table = OrbitTable(n, gens, p)
+        if full:
+            table.fill()
+        rhos = list(coset_reps(n, p)) if multiterm else []
         rels: list[GroupVector] = []
         for rows, off, arity in multiterm:
             reps = double_coset_reps(rhos, off, off + arity, p)
@@ -573,22 +604,23 @@ class Registry:
         return table, rels
 
     def _header_quotient(self, header: TensorHeader
-                         ) -> tuple[dict, KBasis, int]:
+                         ) -> tuple[OrbitTable, KBasis, int]:
         """The orbit table of `_quotient`, the basis of its multiterm
-        relations and the number of nonzero orbits, memoized per (factors,
+        relations and the header's coset count, memoized per (factors,
         npairs).  A new entry evicts the least recently used ones until
-        the memo holds at most max_rank! coset minima; the guard has
-        checked that the entry alone fits."""
+        the coset counts add up to at most max_rank!, the most minima the
+        tables can grow to; the guard has checked that the entry alone
+        fits."""
         key = (header.factors, header.npairs)
         memo = self._memo
         hit = memo.pop(key, None)
         if hit is None:
             table, rels = self._quotient(header)
-            orbits = sum(1 for x, h in table.items()
-                         if h is not None and h[1].map == x)
-            hit = table, KBasis(header.degree).build(rels), orbits
-            cap = factorial(self.max_rank) - len(table)
-            while memo and sum(len(e[0]) for e in memo.values()) > cap:
+            n, p = header.degree, header.npairs
+            cosets = factorial(n) // (2 ** p * factorial(p))
+            hit = table, KBasis(n).build(rels), cosets
+            cap = factorial(self.max_rank) - cosets
+            while memo and sum(e[2] for e in memo.values()) > cap:
                 del memo[next(iter(memo))]
         memo[key] = hit
         return hit
@@ -600,7 +632,7 @@ class Registry:
         m its orbit minimum, and e_x for each member of a vanishing orbit.
         Together they span the product relations projected onto coset
         minima."""
-        table, rels = self._quotient(header)
+        table, rels = self._quotient(header, full=True)
         for x, hit in table.items():
             if hit is None:
                 rels.append(galg.unit(Perm._trusted(x)))
@@ -646,20 +678,18 @@ class Registry:
         minima, then onto orbit minima, and sieved through the basis of
         the multiterm relations.  The forms met are the input, the two
         projections and each elimination step; shortest is the one with
-        the fewest terms, the earliest on ties.  basis_dim is dim K: n!
-        less the nonzero orbits, plus the basis rows."""
+        the fewest terms, the earliest on ties."""
         h = expr.header
-        n, p = h.degree, h.npairs
+        p = h.npairs
         self._check_cosets(h)
-        table, b, orbits = self._header_quotient(h)
+        table, b, _ = self._header_quotient(h)
         cosets = project(expr.vec, p)
         canonical, shortest = b.sieve_trace(orbit_project(cosets, table, p))
         for form in (cosets, expr.vec):
             if len(form) <= len(shortest):
                 shortest = form
         return SimplifyResult(TensorExpr(h, canonical),
-                              TensorExpr(h, shortest),
-                              factorial(n) - orbits + b.dim())
+                              TensorExpr(h, shortest), (table, b))
 
     def equal(self, a: TensorExpr, b) -> bool:
         """Do two expressions agree under all declared relations?"""

@@ -298,6 +298,14 @@ class TestRefusalLeavesRegistry:
         assert self.run("tensor a; a(i,j)+a(i,j,k); a(i,j,k);") == (
             1, "a(i,j,k)\n", "***** a takes 2 indices, given 3\n")
 
+    def test_refused_by_coset_guard_fixes_no_arity(self):
+        assert self.run("tensor ri, s2; ri(m,a,b,c)*ri(m,d,e,f)*s2(g,h);"
+                        " s2(i,j,k);") == (
+            1, "s2(i,j,k)\n", "***** 10 indices with 1 dummy pairs give"
+            " 1814400 cosets, more than the 40320 (= 8!) of the rank limit"
+            " of 8; they need about 14.5 Mcells (113.4 MByte) -- raise the"
+            " rank limit to proceed\n")
+
     def test_refused_tsym_fixes_no_arity_or_names(self):
         status, out, err = self.run(
             "tensor u; tsym u(i,j)+u(i,k); tsym u(a,b,c)-u(b,a,c);"

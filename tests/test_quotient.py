@@ -15,8 +15,10 @@ basis with renormed rows is unique.
 
 import io
 import random
+import sys
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +26,15 @@ from tensorcanon import galg, oracle, perm
 from tensorcanon.cli import Session
 from tensorcanon.kbasis import KBasis
 from tensorcanon.perm import Perm
-from tensorcanon.texpr import (DegreeLimitError, all_perms, coset_minimum,
-                               coset_reps, project)
+from tensorcanon.texpr import (DegreeLimitError, OrbitTable, all_perms,
+                               coset_minimum, coset_reps, project)
 
 from conftest import RELATIONS, make_registry, random_vector, raw_terms
+import reference_orbits
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 ARITY = {"a2": 2, "s2": 2, "a3": 3, "s3": 3, "ri": 4, "v1": 1, "v2": 1}
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -416,6 +423,84 @@ class TestHeaderMemo:
             assert sum(len(table) for table, _, _
                        in reg._memo.values()) <= 120
         assert len(reg._memo) < 4
+
+
+class TestOrbitTable:
+    """The orbit table, filled one orbit per first lookup, against the
+    full walk it replaced (`reference_orbits`): after an evaluation every
+    entry present is the reference's, and once filled the two are equal."""
+
+    @staticmethod
+    def reference(table):
+        return reference_orbits.signed_orbits(
+            coset_reps(table.n, table.npairs), table.gens, table.npairs)
+
+    def check(self, table, full=True):
+        ref = self.reference(table)
+        assert all(ref[x] == hit for x, hit in table.items())
+        if full:
+            assert table.fill() == ref
+
+    def checked_session(self, declarations, texts):
+        """Run `texts` through one session, checking each evaluation's
+        table as it stands; then fill and compare every table met, and
+        each tensor's own table looked up on its K0 terms."""
+        s = Session(out=io.StringIO(), err=io.StringIO())
+        assert s.run_text(declarations) == 0
+        simplify, tables = s.registry.simplify, []
+
+        def checked(te):
+            res = simplify(te)
+            self.check(res.quotient[0], full=False)
+            tables.append(res.quotient[0])
+            return res
+
+        s.registry.simplify = checked
+        for text in texts:
+            assert s.run_text(text) == 0, text
+        for t in s.registry.tensors.values():
+            if t.arity is not None:
+                table = OrbitTable(t.arity, t.monoterm()[0], 0)
+                for row in t._k0:
+                    for _, p in row.terms:
+                        table[p.map]
+                tables.append(table)
+        for table in tables:
+            self.check(table)
+        return len(tables)
+
+    def test_golden_session(self):
+        # 19 evaluations and 7 tensors of fixed arity (v3 is never used)
+        script = (ROOT / "scripts" / "golden_session.tsc").read_text()
+        assert self.checked_session("", [script]) == 26
+
+    def test_benchmark_pools(self):
+        texts = [text for w in ("contract", "free_sums")
+                 for _, text in workloads.pool(w)]
+        assert len(texts) == 232
+        # 232 evaluations and 8 tensors
+        assert self.checked_session(workloads.DECLARATIONS, texts) == 240
+
+    def test_large_and_random_headers(self):
+        texts = ["ri(a,b,c,d)*ri(c,d,e,f)*ri(e,f,a,b);",
+                 "ri(m,c,n,d)*ri(m,n,e,f);"]
+        texts += [expr + ";" for expr, _ in cases(909, 40, 7, min_pairs=0)]
+        # 42 evaluations and 7 tensors (v3 is not drawn)
+        assert self.checked_session(workloads.DECLARATIONS, texts) == 49
+
+    def test_evaluation_walks_only_reached_orbits(self):
+        # neither factor has multiterm rows, so only the input's own term
+        # looks the table up: one orbit of the 360 coset minima is walked
+        reg = make_registry("a3", "s3")
+        te = reg.normalize(raw_terms("a3(m,j,k)*s3(m,l,n)"))
+        res = reg.simplify(te)
+        (table, _, _), = reg._memo.values()
+        assert sum(1 for _ in coset_reps(6, 1)) == 360
+        assert 0 < len(table) < 360
+        # 720 less 10 nonzero orbits, no multiterm rows; read, it fills
+        # the table, and results compare equal however full it is
+        assert res.basis_dim == 710 and len(table) == 360
+        assert reg.simplify(te) == res
 
 
 def session_output(declarations, text):
