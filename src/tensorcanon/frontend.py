@@ -20,6 +20,13 @@ Lexing is one regex findall over the text into parallel kind and value
 lists; the parser walks them by index up to an end sentinel, so its cost
 is linear in the tokens.  No line or column is tracked while lexing: a
 ParseError rescans the text up to its token to find them.
+
+A text that is one literal sum, `[-][k*]t(i,...)*... ± [k*]t(...)...;`,
+skips the tokens: it is validated term by term with one regex call each,
+then split on its text with the blanks removed.  Any other text goes to
+the token parser, which gives every error.  So does a literal sum with a
+comment, a non-ASCII character, a coefficient with a leading zero, or a
+first factor named by a keyword, such as `tensor(i);` or `On(i);`.
 """
 
 from __future__ import annotations
@@ -110,6 +117,8 @@ _SYMBOLS = frozenset(("-", "+", "*", "(", ")", ",", ";", ":="))
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
                          "abcdefghijklmnopqrstuvwxyz_")
 _WORDS = ("int", "ident")
+_KEYWORDS = frozenset(("tensor", "tclear", "tsym", "kbasis", "on", "off",
+                       "showtime"))
 
 
 def _position(text, index):
@@ -189,8 +198,7 @@ class _Parser:
 
     def statement(self):
         word = self.vals[self.i] if self.kinds[self.i] == "ident" else None
-        if word in ("tensor", "tclear", "tsym", "kbasis", "on", "off",
-                    "showtime"):
+        if word in _KEYWORDS:
             self.i += 1
             if word in ("tensor", "tclear"):
                 names = self._list(self.expect, "ident")
@@ -296,7 +304,54 @@ def _collect(terms: TermList) -> TermList:
     return [(c, f) for f, c in acc.items() if c] or [(0, terms[0][1])]
 
 
+# -- term path -----------------------------------------------------------
+
+# One signed, optionally weighted product, with ASCII classes only.  A sum
+# is matched one term per call: one match over a whole sum allocates
+# several times more.  A coefficient with a leading zero or over 18 digits
+# declines, since _Parser prints `007` as `7` and int() has a digit limit.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_INDICES = rf"\s*\(\s*{_NAME}(?:\s*,\s*{_NAME})*\s*\)"
+_TERM_RE = re.compile(rf"\s*([-+]?)\s*(?:(0|[1-9][0-9]{{0,17}})\s*\*\s*)?"
+                      rf"({_NAME}){_INDICES}(?:\s*\*\s*{_NAME}{_INDICES})*")
+# on the matched text with the blanks removed
+_SPLIT_RE = re.compile(r"([-+]?)(?:([0-9]+)\*)?([^-+;]+)")
+_FACTOR_RE = re.compile(r"([^*(]+)\(([^)]*)\)")
+
+
+def _literal_sum(text):
+    """The one ExprEval of a literal sum, as `_Parser` builds it, or None
+    for any other text: `_Parser` then parses it and reports its errors."""
+    m = _TERM_RE.match(text)
+    # `tensor(i);` and the like start a keyword statement
+    if (m is None or m[1] == "+"
+            or not m[1] and not m[2] and m[3].lower() in _KEYWORDS):
+        return None
+    end = m.end()
+    while (m := _TERM_RE.match(text, end)) and m[1]:
+        end = m.end()
+    # `\s` and str.split() and strip() agree on what a blank is
+    if text[end:].strip() != ";":
+        return None
+    # only ASCII tokens and blanks are left, and no two words touch
+    src = "".join(text.split()).lower()
+    terms, products = [], {}
+    for sign, k, body in _SPLIT_RE.findall(src):
+        # a long sum repeats few products: split each one once
+        prod = products.get(body)
+        if prod is None:
+            prod = products[body] = tuple([
+                ("tensor", name, tuple(idx.split(",")))
+                for name, idx in _FACTOR_RE.findall(body)])
+        c = int(k) if k else 1
+        terms.append((-c if sign == "-" else c, prod))
+    return [ExprEval(_collect(terms), src=src)]
+
+
 def parse(text: str) -> list[Statement]:
+    fast = _literal_sum(text)
+    if fast is not None:
+        return fast
     try:
         return _Parser(text).statements()
     except RecursionError:
@@ -315,6 +370,8 @@ def parse_basis_spec(text: str) -> tuple[str, tuple[str, ...]]:
 
 def resolve(expr: TermList, bindings: dict[str, TermList]) -> TermList:
     """Substitute bound names; returns a term list of pure tensor factors."""
+    if all(f[0] == "tensor" for _, factors in expr for f in factors):
+        return _collect(expr)
     result: TermList = []
     for c, factors in expr:
         prod: TermList = [(c, ())]

@@ -1,7 +1,10 @@
 """Surface syntax: lexing, statement parsing, resolution, printing."""
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,9 @@ from tensorcanon.texpr import IndexSlot, TensorHeader
 
 from conftest import make_registry, raw_terms
 import reference_parser
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 class TestLexer:
@@ -314,3 +320,149 @@ class TestParserDifferential:
             errors += isinstance(ref, tuple)
         # both sides of the comparison are exercised
         assert 300 < errors < 900
+
+
+# -- the term path for literal sums -----------------------------------------
+
+# keyword names open a keyword statement when they start the text unsigned
+# and unweighted; `\x1c` is a blank to both `\s` and str.split()
+SUM_NAMES = ("a2", "S2", "Ri", "v_1", "tensor", "On", "SHOWTIME")
+SUM_INDICES = ("i", "J", "k", "Mu", "n_2")
+BLANKS = ("", "", " ", "\t", "\n", "\x1c")
+COEFFS = ("", "", "", "0", "1", "007", "12")
+
+
+def random_literal_sum(rng):
+    blank = lambda: rng.choice(BLANKS)
+    # few distinct products, so that terms repeat and cancel
+    products = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 2)):
+            idx = rng.sample(SUM_INDICES, rng.randint(1, 3))
+            sep = blank() + "," + blank()
+            factors.append(f"{rng.choice(SUM_NAMES)}{blank()}({blank()}"
+                           f"{sep.join(idx)}{blank()})")
+        products.append((blank() + "*" + blank()).join(factors))
+    parts = []
+    for k in range(rng.randint(1, 6)):
+        sign = rng.choice(("", "-") if k == 0 else ("+", "-"))
+        coeff = rng.choice(COEFFS)
+        if coeff:
+            coeff += blank() + "*" + blank()
+        parts.append(blank() + sign + blank() + coeff + rng.choice(products))
+    return "".join(parts) + blank() + ";" + blank()
+
+
+def token_parse(text):
+    return frontend._Parser(text).statements()
+
+
+class TestLiteralSums:
+    """`parse` reads a one-statement literal sum term by term and gives
+    what the token parser gives; any other text goes to the token
+    parser."""
+
+    @pytest.fixture
+    def token_calls(self, monkeypatch):
+        calls, parser = [], frontend._Parser
+
+        def spy(text):
+            calls.append(text)
+            return parser(text)
+
+        monkeypatch.setattr(frontend, "_Parser", spy)
+        return calls
+
+    def test_matches_both_parsers(self):
+        rng = random.Random(1107)
+        taken = errors = 0
+        for k in range(1500):
+            text = random_literal_sum(rng)
+            if k % 3 == 2:
+                text = mutate(rng, text)
+            ref = outcome(reference_parser.parse, text)
+            assert outcome(parse, text) == ref, text
+            assert outcome(token_parse, text) == ref, text
+            taken += frontend._literal_sum(text) is not None
+            errors += isinstance(ref, tuple)
+        # taken texts, declined valid ones and errors all occur
+        assert min(taken, errors, 1500 - taken - errors) > 300
+
+    @pytest.mark.parametrize("text", [
+        "007*a2(i,j);", "a2(i,j) - 012*a2(j,i);", "00*a2(i,j);",
+        "tensor(a);", "On(i);", "SHOWTIME(i);", "kbasis(a, b);",
+        "a2(i,j) % a remark\n;", "a2(i,j); % a remark",
+        "\u0663*a2(i,j);", "a2(i,\u00e9);", "a\u212a(i);",
+        "+a2(i,j);", "--a2(i,j);", "a2(i,j) + -a2(j,i);",
+        "a2(i,j)*2;", "2*3*a2(i,j);", "a2(i,j) a2(j,i);", "a2(i,j)*x;",
+        "x;", "(a2(i,j));", "a2(i,j) - (a2(j,i));", "a2();", "a2(1,2);",
+        "a2(i,j); a2(j,i);", "x := a2(i,j);", "a2(i,j)", ";",
+        "1" * 19 + "*a2(i,j);",
+    ])
+    def test_declined(self, text, token_calls):
+        assert frontend._literal_sum(text) is None
+        assert outcome(parse, text) == outcome(reference_parser.parse, text)
+        assert token_calls == [text]
+
+    @pytest.mark.parametrize("text", [
+        "0*a2(i,j);", "a2(i,j) - a2(i,j);", "-tensor(a);", "2*On(i);",
+        " A2 ( I , J )\x1c-\t12 *B(k, L)*c(m) ;\n",
+        "1" * 18 + "*a2(i,j) - 1*a2(j,i);",
+    ])
+    def test_taken(self, text, token_calls):
+        stmts = parse(text)
+        assert token_calls == []
+        assert stmts == token_parse(text) == reference_parser.parse(text)
+
+    def test_pool_entries_take_the_term_path(self, monkeypatch):
+        texts = [text for workload in ("contract", "free_sums")
+                 for _, text in workloads.pool(workload)]
+        assert len(texts) == 232
+        expected = [token_parse(text) for text in texts]
+
+        def declined(text):
+            raise AssertionError(f"declined: {text[:60]!r}")
+
+        monkeypatch.setattr(frontend, "_Parser", declined)
+        assert [parse(text) for text in texts] == expected
+
+    def test_script_takes_the_token_parser(self, token_calls):
+        text = "tensor a2;\na2(i,j) - a2(j,i);\na2(i,j);\n"
+        assert len(parse(text)) == 3
+        assert token_calls == [text]
+
+    def test_unicode_digit_coefficient_kept(self, token_calls):
+        # `\d` reads the Arabic-Indic three as 3, as the earlier lexer did
+        (s,) = parse("\u0663*a2(i,j);")
+        assert token_calls == ["\u0663*a2(i,j);"]
+        assert s.src == "3*a2(i,j);"
+        assert s.expr == [(3, (("tensor", "a2", ("i", "j")),))]
+
+    def test_peak_memory_below_token_parser(self):
+        text = max((t for _, t in workloads.pool("free_sums")), key=len)
+
+        def peak(parse_fn):
+            tracemalloc.start()
+            try:
+                parse_fn(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(parse) < peak(token_parse)
+
+
+class TestResolveWithoutReferences:
+    def test_matches_the_substitution_loop(self):
+        # a bound name for 1 after every term sends the same terms through
+        # the per-factor substitution loop
+        rng = random.Random(1108)
+        one = [(1, ())]
+        for _ in range(300):
+            stmts = outcome(parse, random_literal_sum(rng))
+            if isinstance(stmts, tuple):
+                continue
+            expr = stmts[0].expr
+            with_ref = [(c, f + (("ref", "one"),)) for c, f in expr]
+            assert resolve(expr, {}) == resolve(with_ref, {"one": one})
