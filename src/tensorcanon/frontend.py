@@ -144,7 +144,11 @@ def _tokenize(text):
         elif c in _IDENT_START:
             kind, tok = "ident", tok.lower()
         elif c.isdecimal():
-            kind, tok = "int", int(tok)
+            try:
+                kind, tok = "int", int(tok)
+            except ValueError:  # over sys.get_int_max_str_digits()
+                raise ParseError(f"integer of {len(tok)} digits is too long",
+                                 *_position(text, len(kinds))) from None
         elif c == "%":
             continue
         else:

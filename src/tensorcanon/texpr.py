@@ -17,17 +17,19 @@ stabilizer holds -1: first onto its coset minimum under G_D (each pair
 sorted, then the pairs sorted), then through a table of the signed orbits
 of those minima, filled one orbit at a time when a lookup first meets it.
 Only the multiterm identities are left for the sieve: each tensor's K0
-rows projected onto its own orbit minima, lifted onto the factor's slot
-block, translated right once per double coset S_a*rho*G_D (S_a permuting
-the block) and mapped through the table.  Reading a result's basis_dim
-fills the whole table.
+rows projected onto its own orbit minima, lifted onto each block of the
+factor, translated right by the minimum of each orbit they reach from the
+input and mapped through the table, until no orbit is new.  The orbits so
+closed carry a direct summand of the relations.  Reading a result's
+basis_dim closes every orbit.
 
 The table and the multiterm basis depend only on the factor list and the
 number of dummy pairs, never on the free index names or the coefficients,
-so a registry memoizes them per (factors, npairs).  The memo charges each
-header its n!/(2^p*p!) coset minima, at most max_rank! in all (the guard's
-bound on one header), evicting the least recently used header first; it is
-cleared whenever a stored basis changes or a tensor is undeclared.
+so a registry memoizes them per (factors, npairs), the basis growing by
+the orbits each new input reaches.  The memo charges each header its
+n!/(2^p*p!) coset minima, at most max_rank! in all (the guard's bound on
+one header), evicting the least recently used header first; it is cleared
+whenever a stored basis changes or a tensor is undeclared.
 """
 
 from __future__ import annotations
@@ -104,16 +106,16 @@ class TensorExpr:
 class SimplifyResult:
     canonical: TensorExpr
     shortest: TensorExpr
-    quotient: tuple[OrbitTable, KBasis] = field(repr=False, compare=False)
+    quotient: Closure = field(repr=False, compare=False)
 
     @property
     def basis_dim(self) -> int:
         """dim K: n! less the nonzero orbits, plus the rows of the basis;
-        `quotient` holds the header's orbit table, which this fills."""
-        table, b = self.quotient
-        orbits = sum(1 for x, h in table.fill().items()
-                     if h is not None and h[1].map == x)
-        return factorial(table.n) - orbits + b.dim()
+        this closes the header's closure, `quotient`, over every orbit."""
+        q = self.quotient
+        minima = q.table.minima()
+        q.close(minima)
+        return factorial(q.table.n) - len(minima) + q.basis.dim()
 
 
 @dataclass
@@ -140,10 +142,8 @@ class BasicTensor:
         derived from K0 on first use (see `monoterm_data`); a tensor
         without relations has the trivial group and no rows."""
         if self._mono is None:
-            if not self._k0:
-                self._mono = ([], [])
-            else:
-                self._mono = monoterm_data(self.k0_basis())
+            self._mono = (monoterm_data(self.k0_basis()) if self._k0
+                          else ([], []))
         return self._mono
 
 
@@ -230,6 +230,43 @@ class OrbitTable(dict):
                 self.__missing__(rho.map)
         return self
 
+    def minima(self) -> list[tuple]:
+        """Fill the table; the minima of its nonzero orbits."""
+        return [x for x, hit in self.fill().items()
+                if hit is not None and hit[1].map == x]
+
+
+class Closure:
+    """A header's orbit table and the basis of its multiterm relations on
+    the orbits closed so far; `rows` are the factors' multiterm rows lifted
+    onto every block, each of identical factors too, as a block swap
+    carries one block's translates onto another's."""
+
+    def __init__(self, table: OrbitTable, rows: list[GroupVector]):
+        self.table, self.rows = table, rows
+        self.basis = KBasis(table.n)
+        self.closed: set[tuple] = set()
+
+    def close(self, minima: Iterable[tuple]) -> list[GroupVector]:
+        """Close the orbits of the distinct orbit minima `minima`; build
+        the new relations into the basis and return them."""
+        table, closed = self.table, self.closed
+        queue = [m for m in minima if m not in closed]
+        closed.update(queue)
+        rels: list[GroupVector] = []
+        for m in queue:
+            for row in self.rows:
+                r = orbit_project(galg.translate_right(row, Perm._trusted(m)),
+                                  table, table.npairs)
+                if not r.is_zero():
+                    rels.append(r)
+                    for _, x in r.terms:
+                        if x.map not in closed:
+                            closed.add(x.map)
+                            queue.append(x.map)
+        self.basis.build(rels)
+        return rels
+
 
 def orbit_project(v: GroupVector, table: dict, npairs: int) -> GroupVector:
     """Map every term onto the minimum of its signed double coset through
@@ -299,20 +336,6 @@ def project(v: GroupVector, npairs: int) -> GroupVector:
                           {Perm._trusted(k): c for k, c in acc.items()})
 
 
-def double_coset_reps(rhos: Iterable[Perm], lo: int, hi: int,
-                      npairs: int) -> list[Perm]:
-    """The first of `rhos` in each double coset S_a*rho*G_D, where S_a
-    permutes the values lo+1..hi of a map (acting on the left) and G_D
-    renames the first npairs slot pairs (on the right).  The key drops
-    which block value sits where (one token, 0, for all of them) and then
-    takes the coset minimum of what is left."""
-    reps: dict[tuple, Perm] = {}
-    for rho in rhos:
-        key = tuple(0 if lo < x <= hi else x for x in rho.map)
-        reps.setdefault(coset_minimum(key, 2 * npairs), rho)
-    return list(reps.values())
-
-
 def estimate_memory(n: int) -> tuple[float, float]:
     """Storage estimate for a full relation basis at degree n.
 
@@ -340,9 +363,9 @@ class Registry:
         self.max_rank = max_rank
         self.messages: list[str] = []
         self._diag = diag
-        # (factors, npairs) -> (orbit table, multiterm basis, coset
-        # count), least recently used first
-        self._memo: dict[tuple, tuple[OrbitTable, KBasis, int]] = {}
+        # (factors, npairs) -> (closure, coset count), least recently
+        # used first
+        self._memo: dict[tuple, tuple[Closure, int]] = {}
 
     def note(self, msg: str):
         self.messages.append(msg)
@@ -552,30 +575,18 @@ class Registry:
 
     # -- relation generation -------------------------------------------
 
-    def _quotient(self, header: TensorHeader, full: bool = False
-                  ) -> tuple[OrbitTable, list[GroupVector]]:
-        """The signed orbit table of the header's coset minima, filled
-        first if `full`, and the multiterm relations mapped through it.
-
-        The table's generators are the factors' monoterm generators lifted
-        onto their slot blocks and the swaps of adjacent identical blocks.
-        A factor's multiterm rows are translated only by one rho per double
-        coset S_a*rho*G_D, with S_a the permutations of its slot block:
-        the stored basis is closed under right translation by S_a and its
-        rows differ from their projections by orbit relations, so every
-        translate by sigma*rho, sigma in S_a, maps into the span of those
-        by rho, and G_D on the right is absorbed by the coset minimum.  Of
-        identical factors only the first is translated: a swap carries
-        the others' translates onto its own."""
-        n, p = header.degree, header.npairs
+    def _closure(self, header: TensorHeader) -> Closure:
+        """A new closure of the header, its table generated by the lifted
+        monoterm generators and the swaps of adjacent identical blocks."""
+        n = header.degree
         gens: list[Generator] = []
-        multiterm = []
+        rows: list[GroupVector] = []
         for k, ((fname, arity), off) in enumerate(zip(header.factors,
                                                       header.offsets())):
             t = self.tensors.get(fname)
             if t is None:
                 raise TensorError(f"{fname} is not declared as tensor")
-            tgens, rows = t.monoterm()
+            tgens, trows = t.monoterm()
             head = tuple(range(1, off + 1))
             tail = tuple(range(off + arity + 1, n + 1))
             gens.extend((head + tuple(v + off for v in g) + tail, s)
@@ -584,56 +595,38 @@ class Registry:
                 m = list(range(1, n + 1))
                 m[off - arity:off + arity] = m[off:off + arity] + m[off - arity:off]
                 gens.append((tuple(m), 1))
-            elif rows:
-                multiterm.append((rows, off, arity))
-        table = OrbitTable(n, gens, p)
-        if full:
-            table.fill()
-        rhos = list(coset_reps(n, p)) if multiterm else []
-        rels: list[GroupVector] = []
-        for rows, off, arity in multiterm:
-            reps = double_coset_reps(rhos, off, off + arity, p)
-            for row in rows:
-                lifted = galg.lift_right(galg.lift_left(row, off),
-                                         n - off - arity)
-                for rho in reps:
-                    r = orbit_project(galg.translate_right(lifted, rho),
-                                      table, p)
-                    if not r.is_zero():
-                        rels.append(r)
-        return table, rels
+            rows.extend(galg.lift_right(galg.lift_left(row, off),
+                                        n - off - arity) for row in trows)
+        return Closure(OrbitTable(n, gens, header.npairs), rows)
 
-    def _header_quotient(self, header: TensorHeader
-                         ) -> tuple[OrbitTable, KBasis, int]:
-        """The orbit table of `_quotient`, the basis of its multiterm
-        relations and the header's coset count, memoized per (factors,
-        npairs).  A new entry evicts the least recently used ones until
-        the coset counts add up to at most max_rank!, the most minima the
-        tables can grow to; the guard has checked that the entry alone
-        fits."""
+    def _header_closure(self, header: TensorHeader) -> Closure:
+        """The header's closure, memoized per (factors, npairs).  A new
+        entry evicts the least recently used ones until the coset counts
+        add up to at most max_rank!, the most minima the tables can grow
+        to; the guard has checked that the entry alone fits."""
         key = (header.factors, header.npairs)
         memo = self._memo
         hit = memo.pop(key, None)
         if hit is None:
-            table, rels = self._quotient(header)
             n, p = header.degree, header.npairs
             cosets = factorial(n) // (2 ** p * factorial(p))
-            hit = table, KBasis(n).build(rels), cosets
+            hit = self._closure(header), cosets
             cap = factorial(self.max_rank) - cosets
-            while memo and sum(e[2] for e in memo.values()) > cap:
+            while memo and sum(e[1] for e in memo.values()) > cap:
                 del memo[next(iter(memo))]
         memo[key] = hit
-        return hit
+        return hit[0]
 
     def product_relations(self, header: TensorHeader) -> list[GroupVector]:
         """Relations of the product modulo dummy renamings, on coset
-        minima: the multiterm relations of `_quotient`, then the orbit
-        relations, e_x - s*e_m for each coset minimum x with e_x = s*e_m,
-        m its orbit minimum, and e_x for each member of a vanishing orbit.
-        Together they span the product relations projected onto coset
-        minima."""
-        table, rels = self._quotient(header, full=True)
-        for x, hit in table.items():
+        minima: the multiterm relations of a new closure over every orbit,
+        then the orbit relations, e_x - s*e_m for each coset minimum x
+        with e_x = s*e_m, m its orbit minimum, and e_x for each member of
+        a vanishing orbit.  Together they span the product relations
+        projected onto coset minima."""
+        closure = self._closure(header)
+        rels = closure.close(closure.table.minima())
+        for x, hit in closure.table.items():
             if hit is None:
                 rels.append(galg.unit(Perm._trusted(x)))
             elif hit[1].map != x:
@@ -676,20 +669,22 @@ class Registry:
     def simplify(self, expr: TensorExpr) -> SimplifyResult:
         """Canonical and shortest forms.  The input is projected onto coset
         minima, then onto orbit minima, and sieved through the basis of
-        the multiterm relations.  The forms met are the input, the two
+        the multiterm relations closed over its orbits.  The forms met are the input, the two
         projections and each elimination step; shortest is the one with
         the fewest terms, the earliest on ties."""
         h = expr.header
         p = h.npairs
         self._check_cosets(h)
-        table, b, _ = self._header_quotient(h)
+        closure = self._header_closure(h)
         cosets = project(expr.vec, p)
-        canonical, shortest = b.sieve_trace(orbit_project(cosets, table, p))
+        v = orbit_project(cosets, closure.table, p)
+        closure.close(q.map for _, q in v.terms)
+        canonical, shortest = closure.basis.sieve_trace(v)
         for form in (cosets, expr.vec):
             if len(form) <= len(shortest):
                 shortest = form
         return SimplifyResult(TensorExpr(h, canonical),
-                              TensorExpr(h, shortest), (table, b))
+                              TensorExpr(h, shortest), closure)
 
     def equal(self, a: TensorExpr, b) -> bool:
         """Do two expressions agree under all declared relations?"""

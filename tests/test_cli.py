@@ -174,6 +174,17 @@ class TestRun:
         assert status == 0
         assert out.getvalue().strip() == "(-1)*a2(i,j)"
 
+    def test_overlong_integer_is_a_parse_error(self):
+        # int() refuses over 4300 digits by default; the lexer reports it
+        # at the integer's position instead of raising ValueError
+        out, err = io.StringIO(), io.StringIO()
+        text = "tensor a2; " + "9" * 5000 + "*a2(i,j);"
+        status = cli.run([], stdin=io.StringIO(text), stdout=out, stderr=err)
+        assert status == 1
+        assert err.getvalue() == ("***** integer of 5000 digits is too long"
+                                  " (line 1, column 12)\n")
+        assert out.getvalue() == ""
+
     def test_memtable_flag(self):
         out = io.StringIO()
         assert cli.run(["--memtable", "5"], stdout=out) == 0

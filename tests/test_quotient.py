@@ -3,7 +3,7 @@
 The engine maps every term onto the minimum of its signed double coset
 G*pi*G_D, G generated by the factors' monoterm symmetries and the swaps of
 identical factors, and builds its basis from the multiterm rows alone,
-translated over one representative per double coset S_a*rho*G_D.  The
+translated by the minima of the orbits they reach from the input.  The
 reference here builds the relations that this replaces: product relations
 translated over all of S_n plus the renaming relations of
 `Registry.dummy_relations`, sieved through one full triangle basis.  Both
@@ -27,10 +27,12 @@ from tensorcanon.cli import Session
 from tensorcanon.kbasis import KBasis
 from tensorcanon.perm import Perm
 from tensorcanon.texpr import (DegreeLimitError, OrbitTable, all_perms,
-                               coset_minimum, coset_reps, project)
+                               coset_minimum, coset_reps, orbit_project,
+                               project)
 
 from conftest import RELATIONS, make_registry, random_vector, raw_terms
 import reference_orbits
+import reference_quotient
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -71,15 +73,15 @@ def block_swaps(header):
             yield Perm(m)
 
 
-def random_expression(rng, n, npairs):
+def random_expression(rng, n, npairs, arity=ARITY):
     """1-4 terms of one random product of degree n with npairs dummy
     pairs, each term with its own factor and index order."""
     while True:
         factors, left = [], n
         while left:
-            name = rng.choice([f for f, a in ARITY.items() if a <= left])
+            name = rng.choice([f for f, a in arity.items() if a <= left])
             factors.append(name)
-            left -= ARITY[name]
+            left -= arity[name]
         if len(factors) > 1 or rng.random() < 0.3:
             break
     letters = rng.sample(LETTERS, n - npairs)
@@ -91,18 +93,18 @@ def random_expression(rng, n, npairs):
         rng.shuffle(idx)
         body = []
         for f in order:
-            body.append(f"{f}({','.join(idx[off:off + ARITY[f]])})")
-            off += ARITY[f]
+            body.append(f"{f}({','.join(idx[off:off + arity[f]])})")
+            off += arity[f]
         terms.append(f"{rng.choice((1, 2, -1, -3))}*{'*'.join(body)}")
     return " + ".join(terms), sorted(set(factors))
 
 
-def cases(seed, count, max_degree, min_pairs=1):
+def cases(seed, count, max_degree, min_pairs=1, arity=ARITY):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(2, max_degree)
         npairs = rng.randint(min_pairs, min(3, n // 2))
-        yield random_expression(rng, n, npairs)
+        yield random_expression(rng, n, npairs, arity)
 
 
 def pivot_rows(basis, npairs=0):
@@ -199,12 +201,13 @@ class TestFullGroupReference:
 
 class TestSwapRelations:
     # relations generated: the orbit relations of the non-minimal coset
-    # minima and vanishing orbits, plus the nonzero multiterm translates
+    # minima and vanishing orbits, plus the nonzero multiterm translates,
+    # one per nonzero orbit, multiterm row and block
     COUNTS = {"a3(a,b,c)*a3(d,e,f)": 710, "a3(m,b,c)*a3(m,e,f)": 357,
               "a3(m,n,c)*a3(m,n,d)": 89, "a3(m,n,k)*a3(m,n,k)": 14,
               "a2(a,b)*a2(c,d)*v3(e)": 105, "a2(m,b)*a2(m,n)*v3(n)": 13,
               "s2(a,b)*s2(c,d)*v1(e)*v1(f)*v1(g)": 4935,
-              "ri(a,b,c,d)*ri(a,c,b,d)": 102}
+              "ri(a,b,c,d)*ri(a,c,b,d)": 105}
 
     def test_counts_and_rows(self):
         # adding the block swaps translated by every coset minimum changes
@@ -263,7 +266,7 @@ class TestDegreeEight:
         te = reg.normalize(raw_terms("ri(m,c,n,d)*ri(m,n,e,f)"))
         h = te.header
         assert (h.degree, h.npairs) == (8, 2)
-        assert len(reg.product_relations(h)) == 5113
+        assert len(reg.product_relations(h)) == 5052
         b = reg.expression_basis(h)
         assert b.dim() == 5021
         assert b.check_reduced()
@@ -277,6 +280,8 @@ class TestDegreeEight:
                     assert b.sieve(rel).is_zero()
         res = reg.simplify(te)
         assert not res.canonical.is_zero()
+        # the closure from the input reaches 5 orbits, 576 table entries
+        assert len(res.quotient.table) < 5040 // 4
         assert factorial(8) - res.basis_dim == 19
         swapped = reg.normalize(raw_terms(
             "ri(m,c,n,d)*ri(m,n,e,f) + ri(c,m,n,d)*ri(m,n,e,f)"))
@@ -292,7 +297,10 @@ class TestDegreeEight:
         assert (te.header.degree, te.header.npairs) == (12, 6)
         res = reg.simplify(te)
         assert not res.canonical.is_zero()
+        # the closure from the input reaches 5 orbits, 1728 table entries
+        assert len(res.quotient.table) < 10395 // 4
         assert factorial(12) - res.basis_dim == 8
+        assert len(res.quotient.table) == 10395
 
     def test_coset_guard(self):
         # one pair at degree 10 leaves 10!/2 cosets, over 8!
@@ -420,7 +428,7 @@ class TestHeaderMemo:
             fresh = make_registry(*tensors, max_rank=5)
             assert (reg.simplify(reg.normalize(raw_terms(expr)))
                     == fresh.simplify(fresh.normalize(raw_terms(expr)))), expr
-            assert sum(len(table) for table, _, _
+            assert sum(len(closure.table) for closure, _
                        in reg._memo.values()) <= 120
         assert len(reg._memo) < 4
 
@@ -451,8 +459,8 @@ class TestOrbitTable:
 
         def checked(te):
             res = simplify(te)
-            self.check(res.quotient[0], full=False)
-            tables.append(res.quotient[0])
+            self.check(res.quotient.table, full=False)
+            tables.append(res.quotient.table)
             return res
 
         s.registry.simplify = checked
@@ -494,13 +502,123 @@ class TestOrbitTable:
         reg = make_registry("a3", "s3")
         te = reg.normalize(raw_terms("a3(m,j,k)*s3(m,l,n)"))
         res = reg.simplify(te)
-        (table, _, _), = reg._memo.values()
+        (closure, _), = reg._memo.values()
+        table = closure.table
         assert sum(1 for _ in coset_reps(6, 1)) == 360
         assert 0 < len(table) < 360
         # 720 less 10 nonzero orbits, no multiterm rows; read, it fills
         # the table, and results compare equal however full it is
         assert res.basis_dim == 710 and len(table) == 360
         assert reg.simplify(te) == res
+
+
+# multiterm tensors other than ri: a cyclic identity alone, and the
+# mixed (Young) symmetry of a tensor symmetric in its first two slots
+MULTITERM = {"c3": ["c3(i,j,k)+c3(j,k,i)+c3(k,i,j)"],
+             "y3": ["y3(i,j,k)-y3(j,i,k)", "y3(i,j,k)+y3(j,k,i)+y3(k,i,j)"]}
+
+
+class TestClosure:
+    """The closure of the multiterm relations over the orbits they reach
+    from the input, against the listing of every coset minimum that it
+    replaced (`reference_quotient`).  On each evaluation the canonical and
+    shortest vectors are the reference's, no reference row has terms on
+    both closed and open orbits, and the memoized basis is exactly the
+    reference rows on closed orbits.  Read once all evaluations are done,
+    basis_dim closes every orbit and equals the reference's, and each
+    basis is then all of the reference's."""
+
+    @staticmethod
+    def reference(reg, h):
+        table, rels = reference_quotient.quotient(reg, h, full=True)
+        b = KBasis(h.degree).build(rels)
+        orbits = sum(1 for x, hit in table.items()
+                     if hit is not None and hit[1].map == x)
+        return table, b, factorial(h.degree) - orbits + b.dim()
+
+    def checked(self, reg, run):
+        """Call `run()` with reg.simplify checked; returns the number of
+        distinct headers (with their tensors' relations) evaluated."""
+        simplify, refs, last = reg.simplify, {}, {}
+
+        def checked_simplify(te):
+            h, p = te.header, te.header.npairs
+            key = (h.factors, p, tuple(row.terms for name, _ in h.factors
+                                       for row in reg.tensors[name]._k0))
+            if key not in refs:
+                refs[key] = self.reference(reg, h)
+            table, b, dim = refs[key]
+            res = simplify(te)
+            cosets = project(te.vec, p)
+            canonical, shortest = b.sieve_trace(
+                orbit_project(cosets, table, p))
+            for form in (cosets, te.vec):
+                if len(form) <= len(shortest):
+                    shortest = form
+            assert res.canonical.vec.terms == canonical.terms
+            assert res.shortest.vec.terms == shortest.terms
+            closed, inside = res.quotient.closed, {}
+            for k, row in pivot_rows(b).items():
+                where = {q.map in closed for _, q in row.terms}
+                assert len(where) == 1, row
+                if where == {True}:
+                    inside[k] = row
+            assert pivot_rows(res.quotient.basis) == inside
+            last[key] = res, b, dim
+            return res
+
+        reg.simplify = checked_simplify
+        run()
+        for res, b, dim in last.values():
+            assert res.basis_dim == dim
+            assert pivot_rows(res.quotient.basis) == pivot_rows(b)
+        return len(last)
+
+    def checked_session(self, declarations, texts):
+        s = Session(out=io.StringIO(), err=io.StringIO())
+        assert s.run_text(declarations) == 0
+
+        def run():
+            for text in texts:
+                assert s.run_text(text) == 0, text
+        return self.checked(s.registry, run)
+
+    def test_golden_session(self):
+        script = (ROOT / "scripts" / "golden_session.tsc").read_text()
+        assert self.checked_session("", [script]) == 14
+
+    def test_benchmark_pools(self):
+        texts = [text for w in ("contract", "free_sums")
+                 for _, text in workloads.pool(w)]
+        assert len(texts) == 232
+        # the 16 headers of contract and the 3 of free_sums
+        assert self.checked_session(workloads.DECLARATIONS, texts) == 19
+
+    def test_stress_shapes(self):
+        texts = ["ri(i,j,k,l)*a3(i,j,k);", "ri(a,b,c,d)*ri(a,c,b,d);",
+                 "ri(m,c,n,d)*ri(m,n,e,f);",
+                 "ri(a,b,c,d)*ri(c,d,e,f)*ri(e,f,a,b);"]
+        assert self.checked_session(workloads.DECLARATIONS, texts) == 4
+
+    def test_random_headers(self):
+        arity = dict(ARITY, c3=3, y3=3)
+        reg = make_registry(*arity)
+        for name, rels in MULTITERM.items():
+            for rel in rels:
+                reg.declare_symmetry(raw_terms(rel))
+        exprs = [expr for expr, _ in cases(1212, 60, 8, min_pairs=0,
+                                           arity=arity)]
+        # runs of identical multiterm factors, each block translated
+        exprs += ["c3(a,b,c)*c3(d,e,f) + 2*c3(d,e,f)*c3(b,a,c)",
+                  "c3(a,m,n)*c3(b,n,m)", "y3(m,n,a)*y3(n,m,b)",
+                  "c3(m,a,b)*c3(m,c,d)*v1(e)", "y3(m,n,k)*y3(k,m,n)",
+                  "y3(a,m,b)*y3(c,m,d) - y3(m,a,b)*y3(m,c,d)",
+                  "c3(m,n,a)*c3(k,m,n)*c3(k,b,c)"]
+
+        def run():
+            for expr in exprs:
+                reg.simplify(reg.normalize(raw_terms(expr)))
+        assert self.checked(reg, run) > 40
 
 
 def session_output(declarations, text):
