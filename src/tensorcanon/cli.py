@@ -99,9 +99,8 @@ class Session:
         """The stored basis of a tensor, or the product basis of factors."""
         name, factor_names = spec
         reg = self.registry
-        names = (name,) + factor_names if factor_names else (name,)
         factors = []
-        for fn in names:
+        for fn in (name,) + factor_names:
             t = reg.tensors.get(fn)
             if t is None:
                 raise TensorError(f"Invalid as tensor: {fn}")
@@ -109,25 +108,18 @@ class Session:
                 raise TensorError(f"arity of {fn} is not fixed yet"
                                   " (evaluate or declare a relation first)")
             factors.append((fn, t.arity))
-        if len(factors) == 1:
-            t = reg.tensors[name]
-            header = TensorHeader(((name, t.arity),),
-                                  tuple(texpr.IndexSlot("free", x)
-                                        for x in self._display(t)))
-            return t.k0_basis(), header
         factors.sort(key=lambda f: f[0])
-        slot_names = [x for fn, _ in factors
-                      for x in self._display(reg.tensors[fn])]
+        slot_names = [x for fn, arity in factors
+                      for x in (reg.tensors[fn].display
+                                or frontend.default_names(arity))]
         if len(set(slot_names)) < len(slot_names):
             slot_names = frontend.default_names(len(slot_names))
         header = TensorHeader(tuple(factors),
                               tuple(texpr.IndexSlot("free", x)
                                     for x in slot_names))
+        if len(factors) == 1:
+            return reg.tensors[name].k0_basis(), header
         return reg.expression_basis(header), header
-
-    @staticmethod
-    def _display(tensor) -> tuple[str, ...]:
-        return tensor.display or frontend.default_names(tensor.arity)
 
     def _print_basis(self, spec):
         basis, header = self.basis_for(spec)

@@ -32,14 +32,14 @@ first factor named by a keyword, such as `tensor(i);` or `On(i);`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce as _reduce
 from math import lcm
 
 from .galg import GroupVector
 from .perm import apply as papply, inverse
-from .texpr import TensorExpr, TensorHeader
+from .texpr import Record, TensorError, TensorExpr, TensorHeader
 
 # A parsed factor is ("tensor", name, indices) or ("ref", name).
 Factor = tuple
@@ -58,53 +58,47 @@ class ParseError(ValueError):
 
 # -- statements --------------------------------------------------------
 
-@dataclass
-class Statement:
-    src: str = field(default="", kw_only=True)
+class Statement(Record):
+    """The fields of its class, in order, and `src`, its compacted text."""
+
+    __slots__ = ("src",)
+
+    def __init__(self, *values, src: str = ""):
+        super().__init__(src, *values)
 
 
-@dataclass
 class TensorDecl(Statement):
-    names: list[str]
+    __slots__ = ("names",)          # list[str]
 
 
-@dataclass
 class TClear(Statement):
-    names: list[str]
+    __slots__ = ("names",)          # list[str]
 
 
-@dataclass
 class SymDecl(Statement):
-    relations: list[TermList]
+    __slots__ = ("relations",)      # list[TermList]
 
 
-@dataclass
 class KBasisQuery(Statement):
     # each spec is (name, factor names) -- factor names empty for a
     # stored single-tensor basis
-    specs: list[tuple[str, tuple[str, ...]]]
+    __slots__ = ("specs",)          # list[tuple[str, tuple[str, ...]]]
 
 
-@dataclass
 class SwitchSet(Statement):
-    name: str
-    on: bool
+    __slots__ = ("name", "on")      # str, bool
 
 
-@dataclass
 class Assignment(Statement):
-    name: str
-    expr: TermList
+    __slots__ = ("name", "expr")    # str, TermList
 
 
-@dataclass
 class ExprEval(Statement):
-    expr: TermList
+    __slots__ = ("expr",)           # TermList
 
 
-@dataclass
 class ShowTime(Statement):
-    pass
+    __slots__ = ()
 
 
 # -- lexer -------------------------------------------------------------
@@ -425,6 +419,14 @@ def _slot_names(header: TensorHeader, dummypri: bool) -> list[str]:
     return names
 
 
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        raise TensorError(f"coefficient of {Decimal(abs(n)).adjusted() + 1}"
+                          " digits is too long to print") from None
+
+
 def format_vector(vec: GroupVector, factors, slot_names) -> str:
     """Render a group vector as a sum of coefficient-weighted products."""
     if vec.is_zero():
@@ -432,7 +434,7 @@ def format_vector(vec: GroupVector, factors, slot_names) -> str:
     den = _reduce(lcm, (c.denominator for c, _ in vec.terms), 1)
     parts = []
     for c, p in vec.terms:
-        c = c * den
+        c = (c * den).numerator
         arranged = papply(inverse(p), slot_names)
         pieces = []
         off = 0
@@ -443,12 +445,12 @@ def format_vector(vec: GroupVector, factors, slot_names) -> str:
         if c == 1:
             parts.append(body)
         elif c > 0:
-            parts.append(f"{c}*{body}")
+            parts.append(f"{_int_text(c)}*{body}")
         else:
-            parts.append(f"({c})*{body}")
+            parts.append(f"({_int_text(c)})*{body}")
     out = " + ".join(parts)
     if den > 1:
-        out += f" / {den}"
+        out += f" / {_int_text(den)}"
     return out
 
 

@@ -34,7 +34,6 @@ whenever a stored basis changes or a tensor is undeclared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as _permutations
 from math import factorial
@@ -61,21 +60,68 @@ class DegreeLimitError(TensorError):
     """Expression degree exceeds the configured factorial-growth guard."""
 
 
-@dataclass(frozen=True)
-class IndexSlot:
+class Record:
+    """Base of the value classes: set, compared and shown by `_fields`, the
+    slots of the class and its bases unless it names them; unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls._fields + cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class Frozen(Record):
+    """An immutable record, hashed by value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class IndexSlot(Frozen):
     """One reference slot: a free index or half of a dummy pair."""
 
-    kind: str                  # "free" | "dummy"
-    name: str                  # free name, or the pair's original name
-    pair: int = 0              # 1-based dummy pair id
-    member: int = 0            # 1 | 2
-    occ: int = 0               # >0 for 3rd+ occurrences kept free
+    __slots__ = ("kind", "name", "pair", "member", "occ")
+
+    def __init__(self, kind: str,   # "free" | "dummy"
+                 name: str,         # free name, or the pair's original name
+                 pair: int = 0,     # 1-based dummy pair id
+                 member: int = 0,   # 1 | 2
+                 occ: int = 0):     # >0 for 3rd+ occurrences kept free
+        # unrolled: normalize makes one per index, and the loop is slower
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "name", name)
+        set_(self, "pair", pair)
+        set_(self, "member", member)
+        set_(self, "occ", occ)
 
 
-@dataclass(frozen=True)
-class TensorHeader:
-    factors: tuple[tuple[str, int], ...]     # (name, arity), canonical order
-    slots: tuple[IndexSlot, ...]
+class TensorHeader(Frozen):
+    # the factors, (name, arity) in canonical order, and the IndexSlots
+    __slots__ = ("factors", "slots")
 
     @property
     def degree(self) -> int:
@@ -93,20 +139,21 @@ class TensorHeader:
         return out
 
 
-@dataclass(frozen=True)
-class TensorExpr:
-    header: TensorHeader
-    vec: GroupVector
+class TensorExpr(Frozen):
+    __slots__ = ("header", "vec")       # TensorHeader, GroupVector
 
     def is_zero(self) -> bool:
         return self.vec.is_zero()
 
 
-@dataclass
-class SimplifyResult:
-    canonical: TensorExpr
-    shortest: TensorExpr
-    quotient: Closure = field(repr=False, compare=False)
+class SimplifyResult(Record):
+    __slots__ = ("canonical", "shortest", "quotient")
+    _fields = ("canonical", "shortest")     # not the header's closure
+
+    def __init__(self, canonical: TensorExpr, shortest: TensorExpr,
+                 quotient: Closure):
+        super().__init__(canonical, shortest)
+        self.quotient = quotient
 
     @property
     def basis_dim(self) -> int:
@@ -118,13 +165,12 @@ class SimplifyResult:
         return factorial(q.table.n) - len(minima) + q.basis.dim()
 
 
-@dataclass
-class BasicTensor:
-    name: str
-    arity: Optional[int] = None
-    display: Optional[tuple[str, ...]] = None
-    _k0: tuple[GroupVector, ...] = ()
-    _mono: Optional[tuple[list[Generator], list[GroupVector]]] = None
+class BasicTensor(Record):
+    __slots__ = ("name", "arity", "display", "_k0", "_mono")
+
+    def __init__(self, name: str, arity: Optional[int] = None,
+                 display: Optional[tuple[str, ...]] = None):
+        super().__init__(name, arity, display, (), None)   # _k0, _mono
 
     def k0_basis(self) -> KBasis:
         """A new basis around the stored rows, so building into it leaves

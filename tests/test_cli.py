@@ -3,6 +3,9 @@
 import io
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +187,32 @@ class TestRun:
         assert err.getvalue() == ("***** integer of 5000 digits is too long"
                                   " (line 1, column 12)\n")
         assert out.getvalue() == ""
+
+    def test_overlong_output_coefficient_is_a_diagnostic(self):
+        # each literal is under int()'s 4300 digits, their product is not:
+        # str() refuses to print it, so the printer reports its length
+        out, err = io.StringIO(), io.StringIO()
+        text = "tensor a2; " + "9" * 3000 + "*" + "9" * 3000 + "*a2(i,j);"
+        status = cli.run([], stdin=io.StringIO(text), stdout=out, stderr=err)
+        assert status == 1
+        assert err.getvalue() == ("***** coefficient of 6000 digits is too"
+                                  " long to print\n")
+        assert "Traceback" not in err.getvalue()
+        assert out.getvalue() == ""
+
+    def test_import_loads_no_dataclasses(self):
+        # the engine's value classes are plain __slots__ classes, so the
+        # import pulls in neither dataclasses nor what it imports; modules
+        # that the interpreter loaded before (a site hook) do not count
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); before ="
+                " set(sys.modules); import tensorcanon.cli;"
+                " print(*sorted(set(sys.modules) - before))")
+        run = subprocess.run([sys.executable, "-I", "-c", code, src],
+                             capture_output=True, text=True, check=True)
+        added = set(run.stdout.split())
+        assert "tensorcanon.cli" in added
+        assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis"})
 
     def test_memtable_flag(self):
         out = io.StringIO()

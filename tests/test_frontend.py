@@ -122,6 +122,30 @@ class TestStatements:
             parse("tensor tt")
 
 
+class TestStatementValues:
+    def test_equal_by_class_fields_and_src(self):
+        assert TensorDecl(["a"]) == TensorDecl(["a"], src="")
+        assert TensorDecl(["a"]) != TClear(["a"])
+        assert TClear(["a"]) != TensorDecl(["a"])
+        assert TensorDecl(["a"], src="tensor a;") != TensorDecl(["a"])
+        assert TensorDecl(["a"]) != TensorDecl(["b"])
+        assert SwitchSet("shortest", True) != SwitchSet("shortest", False)
+        assert ShowTime() == ShowTime() != ShowTime(src="showtime;")
+        assert parse("tensor a; tclear a;") == [
+            TensorDecl(["a"], src="tensor a;"), TClear(["a"], src="tclear a;")]
+
+    def test_src_assignable_and_unhashable(self):
+        s = ExprEval([(1, ())])
+        s.src = "1;"
+        assert s == ExprEval([(1, ())], src="1;")
+        with pytest.raises(TypeError):
+            hash(s)
+
+    def test_repr(self):
+        assert repr(Assignment("x", [])) == (
+            "Assignment(src='', name='x', expr=[])")
+
+
 class TestExpressions:
     def test_sum_collection(self):
         (s,) = parse("a2(i,j)+a2(i,j);")

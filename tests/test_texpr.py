@@ -344,6 +344,60 @@ class TestExpressionBasisAndSimplify:
             reg.equal(x, y)
 
 
+class TestValueClasses:
+    """Headers, slots and expressions are immutable values; a result is
+    compared by its canonical and shortest forms alone."""
+
+    def _expr(self):
+        reg = make_registry("a2", "ri")
+        te = reg.normalize(raw_terms("a2(i,j)*ri(i,j,k,l)"))
+        return reg, te
+
+    def test_equal_and_hashed_by_value(self):
+        reg, te = self._expr()
+        again = reg.normalize(raw_terms("a2(i,j)*ri(i,j,k,l)"))
+        assert te is not again and te == again
+        for a, b in ((te, again), (te.header, again.header),
+                     (te.header.slots[0], again.header.slots[0])):
+            assert hash(a) == hash(b) and len({a, b}) == 1
+        other = reg.normalize(raw_terms("a2(i,j)*ri(i,j,k,m)"))
+        assert te.header != other.header and te != other
+        slot = texpr.IndexSlot("free", "i")
+        assert slot == texpr.IndexSlot("free", "i", 0, 0, 0)
+        assert slot != texpr.IndexSlot("free", "i", occ=1)
+        assert slot != ("free", "i", 0, 0, 0)
+
+    def test_immutable(self):
+        _, te = self._expr()
+        slot = te.header.slots[0]
+        for obj, name in ((slot, "name"), (slot, "kind"),
+                          (te.header, "slots"), (te, "vec"), (te, "header")):
+            before = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is before
+        with pytest.raises(AttributeError):
+            te.extra = 1
+
+    def test_result_equality_ignores_quotient(self):
+        reg, te = self._expr()
+        res = reg.simplify(te)
+        fresh = make_registry("a2", "ri").simplify(te)
+        assert res.quotient is not fresh.quotient
+        assert res == fresh
+        assert "quotient" not in repr(res)
+        other = reg.normalize(raw_terms("a2(i,j)*ri(i,j,k,m)"))
+        assert texpr.SimplifyResult(other, res.shortest, res.quotient) != res
+        with pytest.raises(TypeError):
+            hash(res)
+
+    def test_repr_names_the_fields(self):
+        assert repr(texpr.IndexSlot("dummy", "a", pair=1, member=2)) == (
+            "IndexSlot(kind='dummy', name='a', pair=1, member=2, occ=0)")
+
+
 class TestMemoryEstimate:
     def test_rank_one(self):
         mc, mb = estimate_memory(1)
