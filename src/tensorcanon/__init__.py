@@ -9,10 +9,9 @@ representative.
 
 from .galg import GroupVector
 from .kbasis import KBasis
-from .perm import Perm
 from .texpr import Registry, TensorExpr, estimate_memory
 
-__all__ = ["GroupVector", "KBasis", "Perm", "Registry", "TensorExpr",
+__all__ = ["GroupVector", "KBasis", "Registry", "TensorExpr",
            "estimate_memory"]
 
 __version__ = "0.1.0"

@@ -85,7 +85,7 @@ class Session:
         reg = self.registry
         t0 = time.monotonic()
         raw = frontend.to_raw_terms(frontend.resolve(expr, self.bindings))
-        te = reg.normalize(raw, guard=True)
+        te = reg.normalize(raw)
         result = reg.simplify(te)
         shown = (result.shortest if self.switches["shortest"]
                  else result.canonical)

@@ -1,10 +1,9 @@
 """Group-algebra vectors over S_n.
 
-A GroupVector is an exact sparse linear combination of permutations with
-rational coefficients.  Terms are kept strictly ordered in descending
-lexicographic order of the one-line maps of their permutations, with no
-duplicates and no zero coefficients.  The zero vector is the empty term
-list.
+A GroupVector is an exact sparse linear combination of permutations, each
+its one-line map, with rational coefficients.  Terms are kept strictly
+ordered in descending lexicographic order of the maps, with no duplicates
+and no zero coefficients.  The zero vector is the empty term list.
 """
 
 from __future__ import annotations
@@ -12,9 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce as _reduce
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable
 
-from .perm import Perm, extend_left as _pext_left, extend_right as _pext_right, multiply
+from .perm import check, extend_left as _pext_left, extend_right as _pext_right, multiply
+
+_MAP = itemgetter(1)
 
 
 class GroupVector:
@@ -22,16 +24,11 @@ class GroupVector:
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: Iterable[tuple[Fraction, Perm]] = (),
+    def __init__(self, degree: int, terms: Iterable[tuple[Fraction, tuple]] = (),
                  *, _normalized: bool = False):
+        # terms built by the engine come _normalized and are not checked
         self.degree = degree
-        tl = tuple(terms)
-        for _, p in tl:
-            if p.degree != degree:
-                raise ValueError(f"term degree {p.degree} != vector degree {degree}")
-        if not _normalized:
-            tl = _merge_terms(tl)
-        self.terms = tl
+        self.terms = tuple(terms) if _normalized else _merge_terms(degree, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -53,12 +50,15 @@ class GroupVector:
         return f"GroupVector({self.degree}, {body})"
 
 
-def _merge_terms(tl) -> tuple:
-    acc: dict[Perm, Fraction] = {}
+def _merge_terms(degree: int, tl) -> tuple:
+    acc: dict[tuple, Fraction] = {}
     for c, p in tl:
+        p = check(p)
+        if len(p) != degree:
+            raise ValueError(f"term degree {len(p)} != vector degree {degree}")
         acc[p] = acc.get(p, Fraction(0)) + c
     out = [(c, p) for p, c in acc.items() if c != 0]
-    out.sort(key=lambda t: t[1].map, reverse=True)
+    out.sort(key=_MAP, reverse=True)
     return tuple(out)
 
 
@@ -66,17 +66,17 @@ def zero(degree: int) -> GroupVector:
     return GroupVector(degree, (), _normalized=True)
 
 
-def unit(p: Perm, c=1) -> GroupVector:
+def unit(p: tuple, c=1) -> GroupVector:
     """The single-term vector c*e_p."""
     c = Fraction(c)
     if c == 0:
-        return zero(p.degree)
-    return GroupVector(p.degree, ((c, p),), _normalized=True)
+        return zero(len(p))
+    return GroupVector(len(p), ((c, p),), _normalized=True)
 
 
-def from_dict(degree: int, d: dict[Perm, Fraction]) -> GroupVector:
+def from_dict(degree: int, d: dict[tuple, Fraction]) -> GroupVector:
     terms = sorted(((c, p) for p, c in d.items() if c != 0),
-                   key=lambda t: t[1].map, reverse=True)
+                   key=_MAP, reverse=True)
     return GroupVector(degree, tuple(terms), _normalized=True)
 
 
@@ -134,12 +134,12 @@ def renorm(v: GroupVector) -> GroupVector:
                        _normalized=True)
 
 
-def translate_right(v: GroupVector, p: Perm) -> GroupVector:
+def translate_right(v: GroupVector, p: tuple) -> GroupVector:
     """Replace every term permutation q by q∘p."""
-    if p.degree != v.degree:
-        raise ValueError(f"degree mismatch: {v.degree} != {p.degree}")
+    if len(p) != v.degree:
+        raise ValueError(f"degree mismatch: {v.degree} != {len(p)}")
     terms = sorted(((c, multiply(q, p)) for c, q in v.terms),
-                   key=lambda t: t[1].map, reverse=True)
+                   key=_MAP, reverse=True)
     return GroupVector(v.degree, tuple(terms), _normalized=True)
 
 
@@ -156,11 +156,11 @@ def lift_left(v: GroupVector, d: int) -> GroupVector:
     if d == 0:
         return v
     terms = sorted(((c, _pext_left(p, d)) for c, p in v.terms),
-                   key=lambda t: t[1].map, reverse=True)
+                   key=_MAP, reverse=True)
     return GroupVector(v.degree + d, terms, _normalized=True)
 
 
-def leading(v: GroupVector) -> tuple[Fraction, Perm]:
+def leading(v: GroupVector) -> tuple[Fraction, tuple]:
     """First term under the global descending order."""
     if not v.terms:
         raise ValueError("leading term of the zero vector")

@@ -38,9 +38,9 @@ class KBasis:
 
     def __init__(self, degree: int):
         self.degree = degree
-        # pivot map-tuple -> row; dicts preserve insertion order
+        # pivot permutation -> row; dicts preserve insertion order
         self._rows: dict[tuple[int, ...], GroupVector] = {}
-        # non-pivot map-tuple -> pivots of the rows carrying it; built on
+        # non-pivot permutation -> pivots of the rows carrying it; built on
         # the first insert, so read-only bases never pay for it
         self._cols: dict[tuple[int, ...], set] | None = None
 
@@ -49,7 +49,7 @@ class KBasis:
         """A basis around rows that are already renormed and reduced, such
         as the `rows` of another basis, keyed by their leading maps."""
         b = cls(degree)
-        b._rows = {galg.leading(row)[1].map: row for row in rows}
+        b._rows = {galg.leading(row)[1]: row for row in rows}
         return b
 
     @property
@@ -78,22 +78,20 @@ class KBasis:
         if v.degree != self.degree:
             raise ValueError(f"degree mismatch: {v.degree} != {self.degree}")
         rows = self._rows
-        acc = {p.map: (c, p) for c, p in v.terms}
+        acc = {p: c for c, p in v.terms}
         best, fewest = None, len(acc)
         for c, p in v.terms:
-            row = rows.get(p.map)
+            row = rows.get(p)
             if row is None:
                 continue
-            del acc[p.map]
+            del acc[p]
             ratio = c / row.terms[0][0]
             for rc, rp in row.terms[1:]:
-                k = rp.map
-                old = acc.get(k)
-                x = (old[0] if old else 0) - ratio * rc
+                x = acc.get(rp, 0) - ratio * rc
                 if x:
-                    acc[k] = (x, rp)
+                    acc[rp] = x
                 else:
-                    acc.pop(k, None)
+                    acc.pop(rp, None)
             if trace and len(acc) < fewest:
                 best, fewest = dict(acc), len(acc)
         canonical = self._vector(acc)
@@ -102,7 +100,7 @@ class KBasis:
         return canonical, v if best is None else self._vector(best)
 
     def _vector(self, acc: dict) -> GroupVector:
-        terms = tuple(acc[k] for k in sorted(acc, reverse=True))
+        terms = tuple((acc[p], p) for p in sorted(acc, reverse=True))
         return GroupVector(self.degree, terms, _normalized=True)
 
     def insert(self, v: GroupVector):
@@ -111,20 +109,19 @@ class KBasis:
         if v.is_zero():
             raise ValueError("cannot insert the zero vector")
         v = galg.renorm(v)
-        pc, pp = galg.leading(v)
-        key = pp.map
+        pc, key = galg.leading(v)
         if key in self._rows:
-            raise PivotCollisionError(f"pivot {pp} already present (missed sieve?)")
+            raise PivotCollisionError(f"pivot {key} already present (missed sieve?)")
         if self._cols is None:
             self._cols = self._index()
         cols = self._cols
         for rkey in cols.pop(key, ()):
             row = self._rows[rkey]
-            c = next(rc for rc, rp in row.terms if rp.map == key)
+            c = next(rc for rc, rp in row.terms if rp == key)
             new = galg.renorm(galg.add(row, galg.scale(-c / pc, v)))
             self._rows[rkey] = new
-            old = {p.map for _, p in row.terms[1:]}
-            now = {p.map for _, p in new.terms[1:]}
+            old = {p for _, p in row.terms[1:]}
+            now = {p for _, p in new.terms[1:]}
             for k in old - now - {key}:
                 carriers = cols[k]
                 carriers.discard(rkey)
@@ -133,7 +130,7 @@ class KBasis:
             for k in now - old:
                 cols.setdefault(k, set()).add(rkey)
         for _, p in v.terms[1:]:
-            cols.setdefault(p.map, set()).add(key)
+            cols.setdefault(p, set()).add(key)
         self._rows[key] = v
 
     def _index(self) -> dict[tuple[int, ...], set]:
@@ -141,7 +138,7 @@ class KBasis:
         cols: dict[tuple[int, ...], set] = {}
         for key, row in self._rows.items():
             for _, p in row.terms[1:]:
-                cols.setdefault(p.map, set()).add(key)
+                cols.setdefault(p, set()).add(key)
         return cols
 
     def build(self, relations: Iterable[GroupVector]) -> "KBasis":
@@ -158,9 +155,9 @@ class KBasis:
         non-pivot permutation."""
         for key, row in self._rows.items():
             for _, p in row.terms[1:]:
-                if p.map in self._rows:
+                if p in self._rows:
                     return False
-            if galg.leading(row)[1].map != key:
+            if galg.leading(row)[1] != key:
                 return False
         return self._cols is None or self._cols == self._index()
 
@@ -173,7 +170,7 @@ class KBasis:
             parts = []
             for c, p in row.terms:
                 s = "+" if c >= 0 else "-"
-                parts.append(f"{s} {abs(c)}*{p}")
+                parts.append(f"{s} {abs(c)}*({' '.join(map(str, p))})")
             lines.append(" ".join(parts).lstrip("+ "))
         lines.append(str(self.dim()))
         return "\n".join(lines) + "\n"
@@ -186,7 +183,7 @@ class KBasis:
                 {
                     "coeffs": [str(c) if c.denominator != 1 else str(c.numerator)
                                for c, _ in row.terms],
-                    "perms": [list(p.map) for _, p in row.terms],
+                    "perms": [list(p) for _, p in row.terms],
                 }
                 for row in self._rows.values()
             ],

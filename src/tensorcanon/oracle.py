@@ -16,7 +16,6 @@ from math import factorial
 
 from . import galg
 from .galg import GroupVector
-from .perm import Perm
 
 MAX_DEGREE = 7
 
@@ -28,7 +27,7 @@ def _columns(n: int) -> dict[tuple[int, ...], int]:
 def _dense(v: GroupVector, cols) -> list[Fraction]:
     row = [Fraction(0)] * len(cols)
     for c, p in v.terms:
-        row[cols[p.map]] = c
+        row[cols[p]] = c
     return row
 
 
@@ -78,7 +77,7 @@ class _Eliminator:
         inv_cols = {i: m for m, i in self.cols.items()}
         for col, c in enumerate(row):
             if c:
-                back[Perm(inv_cols[col])] = c
+                back[inv_cols[col]] = c
         return galg.from_dict(self.n, back)
 
 

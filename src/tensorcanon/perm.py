@@ -1,7 +1,8 @@
 """Exact arithmetic on permutations of S_n.
 
-Permutations are stored in one-line form: a 1-based sequence of slot
-values.
+A permutation is its one-line map: a tuple of the 1-based slot values,
+immutable and hashable as it is.  `check` validates a map that comes
+from outside the engine; the maps the engine builds are not checked.
 
 Composition convention, used everywhere in this package:
 
@@ -17,87 +18,55 @@ from __future__ import annotations
 from typing import Sequence
 
 
-class Perm:
-    """A bijection of {1..n}, immutable and hashable."""
-
-    __slots__ = ("map", "degree", "_hash")
-
-    def __init__(self, map: Sequence[int]):
-        m = tuple(map)
-        n = len(m)
-        if n < 1:
-            raise ValueError("permutation degree must be at least 1")
-        if sorted(m) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {m}")
-        self.map = m
-        self.degree = n
-        self._hash = hash(m)
-
-    @classmethod
-    def _trusted(cls, m: tuple[int, ...]) -> "Perm":
-        # fast path for internally built maps; skips the bijection check
-        p = object.__new__(cls)
-        p.map = m
-        p.degree = len(m)
-        p._hash = hash(m)
-        return p
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.map == other.map
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "Perm(%s)" % (self.map,)
-
-    def __str__(self):
-        return "(" + " ".join(str(v) for v in self.map) + ")"
+def check(seq: Sequence[int]) -> tuple[int, ...]:
+    """The one-line map of seq, a bijection of {1..n} with n >= 1."""
+    m = tuple(seq)
+    n = len(m)
+    if n < 1:
+        raise ValueError("permutation degree must be at least 1")
+    if sorted(m) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {m}")
+    return m
 
 
-def identity(n: int) -> Perm:
+def identity(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("degree must be at least 1")
-    return Perm._trusted(tuple(range(1, n + 1)))
+    return tuple(range(1, n + 1))
 
 
-def _check_degrees(p: Perm, q: Perm):
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-
-
-def multiply(p: Perm, q: Perm) -> Perm:
+def multiply(p: tuple, q: tuple) -> tuple[int, ...]:
     """Composition p∘q with q applied first: result[i] = p[q[i]]."""
-    _check_degrees(p, q)
-    pm = p.map
-    return Perm._trusted(tuple(pm[j - 1] for j in q.map))
+    if len(p) != len(q):
+        raise ValueError(f"degree mismatch: {len(p)} != {len(q)}")
+    return tuple([p[j - 1] for j in q])
 
 
-def inverse(p: Perm) -> Perm:
+def inverse(p: tuple) -> tuple[int, ...]:
     """The x with multiply(x, p) = identity."""
-    r = [0] * p.degree
-    for i, v in enumerate(p.map):
+    r = [0] * len(p)
+    for i, v in enumerate(p):
         r[v - 1] = i + 1
-    return Perm._trusted(tuple(r))
+    return tuple(r)
 
 
-def apply(p: Perm, l: Sequence) -> tuple:
+def apply(p: tuple, l: Sequence) -> tuple:
     """Rearrange l by slot selection: result[i] = l[p[i]]."""
-    if len(l) != p.degree:
-        raise ValueError(f"sequence length {len(l)} != degree {p.degree}")
-    return tuple(l[i - 1] for i in p.map)
+    if len(l) != len(p):
+        raise ValueError(f"sequence length {len(l)} != degree {len(p)}")
+    return tuple(l[i - 1] for i in p)
 
 
-def extend_right(p: Perm, d: int) -> Perm:
+def extend_right(p: tuple, d: int) -> tuple[int, ...]:
     """Embed p into S_{n+d} fixing the d appended slots."""
     if d < 0:
         raise ValueError("extension count must be nonnegative")
-    n = p.degree
-    return Perm._trusted(p.map + tuple(range(n + 1, n + d + 1)))
+    n = len(p)
+    return p + tuple(range(n + 1, n + d + 1))
 
 
-def extend_left(p: Perm, d: int) -> Perm:
+def extend_left(p: tuple, d: int) -> tuple[int, ...]:
     """Embed p into S_{d+n} fixing the d prepended slots."""
     if d < 0:
         raise ValueError("extension count must be nonnegative")
-    return Perm._trusted(tuple(range(1, d + 1)) + tuple(v + d for v in p.map))
+    return tuple(range(1, d + 1)) + tuple(v + d for v in p)

@@ -43,7 +43,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import galg, perm
 from .galg import GroupVector
 from .kbasis import KBasis
-from .perm import Perm
 
 # A raw term is (coefficient, factors); a factor is (tensor name, index names).
 RawFactor = tuple[str, tuple[str, ...]]
@@ -210,18 +209,18 @@ def monoterm_data(b: KBasis) -> tuple[list[Generator], list[GroupVector]]:
     ident = perm.identity(a)
     base = b.sieve(galg.unit(ident))
     if base.is_zero():
-        return [(ident.map, -1)], []
+        return [(ident, -1)], []
     neg = galg.negate(base)
     gens: list[Generator] = []
-    group = {ident.map: 1}
-    for g in all_perms(a):
+    group = {ident: 1}
+    for g in coset_reps(a, 0):
         r = b.sieve(galg.unit(g))
         s = 1 if r == base else -1 if r == neg else 0
-        if s and g.map not in group:
-            gens.append((g.map, s))
-            group = _orbit(ident.map, gens, 0)[0]
+        if s and g not in group:
+            gens.append((g, s))
+            group = _orbit(ident, gens, 0)[0]
     table = OrbitTable(a, gens, 0)
-    return gens, KBasis(a).build(orbit_project(row, table, 0)
+    return gens, KBasis(a).build(orbit_project(row, table)
                                  for row in b.rows).rows
 
 
@@ -261,25 +260,25 @@ class OrbitTable(dict):
         super().__init__()
         self.n, self.gens, self.npairs = n, gens, npairs
 
-    def __missing__(self, x: tuple) -> Optional[tuple[int, Perm]]:
+    def __missing__(self, x: tuple) -> Optional[tuple[int, tuple]]:
         sign, zero = _orbit(x, self.gens, 2 * self.npairs)
         m = min(sign)
-        sm, pm = sign[m], Perm._trusted(m)
-        self.update({y: None if zero else (s * sm, pm)
+        sm = sign[m]
+        self.update({y: None if zero else (s * sm, m)
                      for y, s in sign.items()})
         return self[x]
 
     def fill(self) -> "OrbitTable":
         """Walk every orbit not yet entered, in ascending order of minima."""
         for rho in coset_reps(self.n, self.npairs):
-            if rho.map not in self:
-                self.__missing__(rho.map)
+            if rho not in self:
+                self.__missing__(rho)
         return self
 
     def minima(self) -> list[tuple]:
         """Fill the table; the minima of its nonzero orbits."""
         return [x for x, hit in self.fill().items()
-                if hit is not None and hit[1].map == x]
+                if hit is not None and hit[1] == x]
 
 
 class Closure:
@@ -302,48 +301,41 @@ class Closure:
         rels: list[GroupVector] = []
         for m in queue:
             for row in self.rows:
-                r = orbit_project(galg.translate_right(row, Perm._trusted(m)),
-                                  table, table.npairs)
+                r = orbit_project(galg.translate_right(row, m), table)
                 if not r.is_zero():
                     rels.append(r)
                     for _, x in r.terms:
-                        if x.map not in closed:
-                            closed.add(x.map)
-                            queue.append(x.map)
+                        if x not in closed:
+                            closed.add(x)
+                            queue.append(x)
         self.basis.build(rels)
         return rels
 
 
-def orbit_project(v: GroupVector, table: dict, npairs: int) -> GroupVector:
+def orbit_project(v: GroupVector, table: OrbitTable) -> GroupVector:
     """Map every term onto the minimum of its signed double coset through
-    an `OrbitTable`, adding coefficients."""
-    lead = 2 * npairs
-    acc: dict[Perm, Fraction] = {}
+    the table, adding coefficients."""
+    lead = 2 * table.npairs
+    acc: dict[tuple, Fraction] = {}
     for c, p in v.terms:
-        hit = table[coset_minimum(p.map, lead) if lead else p.map]
+        hit = table[coset_minimum(p, lead) if lead else p]
         if hit is not None:
             s, m = hit
             acc[m] = acc.get(m, 0) + (c if s > 0 else -c)
     return galg.from_dict(v.degree, acc)
 
 
-def all_perms(n: int):
-    """All elements of S_n in lexicographic order."""
-    for m in _permutations(range(1, n + 1)):
-        yield Perm._trusted(m)
-
-
 def coset_reps(n: int, npairs: int):
     """The minima of the cosets pi*G_D in lexicographic order: each of the
     first npairs slot pairs ascending, the pairs ascending by first member.
-    Without pairs this is all of S_n, as all_perms yields it."""
+    Without pairs this is all of S_n in lexicographic order."""
     lead = 2 * npairs
 
     def extend(prefix, rest):
         i = len(prefix)
         if i == lead:
             for tail in _permutations(rest):
-                yield Perm._trusted(prefix + tail)
+                yield prefix + tail
             return
         lo = prefix[i - 2 + i % 2] if i else 0
         # a pair's first member needs 2*(pairs left) - 1 larger values
@@ -375,11 +367,10 @@ def project(v: GroupVector, npairs: int) -> GroupVector:
     lead = 2 * npairs
     acc: dict[tuple[int, ...], Fraction] = {}
     for c, p in v.terms:
-        k = coset_minimum(p.map, lead)
+        k = coset_minimum(p, lead)
         old = acc.get(k)
         acc[k] = c if old is None else old + c
-    return galg.from_dict(v.degree,
-                          {Perm._trusted(k): c for k, c in acc.items()})
+    return galg.from_dict(v.degree, acc)
 
 
 def estimate_memory(n: int) -> tuple[float, float]:
@@ -505,12 +496,12 @@ class Registry:
         self._check_rank(n)
         tensor = self._fix_arity(name, n, {})
         where = {x: i for i, x in enumerate(ref)}
-        acc: dict[Perm, Fraction] = {}
+        acc: dict[tuple, Fraction] = {}
         for c, idx in parsed:
             if sorted(idx) != sorted(ref):
                 raise TensorError("symmetry relation terms must use the same"
                                   " index names")
-            pi = Perm._trusted(_term_map(idx, where))
+            pi = _term_map(idx, where)
             acc[pi] = acc.get(pi, Fraction(0)) + c
         # a refused relation leaves the tensor as it was
         tensor.arity = n
@@ -520,20 +511,19 @@ class Registry:
         if g.is_zero():
             return
         b = tensor.k0_basis()
-        b.build(galg.translate_right(g, rho) for rho in all_perms(n))
+        b.build(galg.translate_right(g, rho) for rho in coset_reps(n, 0))
         tensor.store_k0(b)
         self._memo.clear()
 
     # -- expression construction ---------------------------------------
 
-    def normalize(self, terms: Sequence[RawTerm],
-                  guard: bool = False) -> TensorExpr:
+    def normalize(self, terms: Sequence[RawTerm]) -> TensorExpr:
         """Canonical factor order, dummy detection and the shared header.
 
         Repeated index names pair up by their first two occurrences; any
         further occurrence stays free, with a diagnostic.  The arities the
-        expression fixes are kept only if it is accepted (with `guard`, by
-        the coset guard of `simplify` too).
+        expression fixes are kept only if it is accepted, by the coset
+        guard of `simplify` too.
         """
         if not terms:
             raise TensorError("empty tensor expression")
@@ -583,12 +573,11 @@ class Registry:
                 raise TensorError("terms of one expression must carry the"
                                   " same free indices")
             acc[m] = acc.get(m, 0) + c
-        if guard:
-            self._check_cosets(header)
+        self._check_cosets(header)
         for fname, arity in pending.items():
             tensors[fname].arity = arity
         return TensorExpr(header, galg.from_dict(
-            n, {Perm._trusted(m): Fraction(c) for m, c in acc.items()}))
+            n, {m: Fraction(c) for m, c in acc.items()}))
 
     def _slot_keys(self, names: list[str]
                    ) -> tuple[list[tuple], dict[int, str]]:
@@ -674,10 +663,9 @@ class Registry:
         rels = closure.close(closure.table.minima())
         for x, hit in closure.table.items():
             if hit is None:
-                rels.append(galg.unit(Perm._trusted(x)))
-            elif hit[1].map != x:
-                rels.append(galg.add(galg.unit(Perm._trusted(x)),
-                                     galg.unit(hit[1], -hit[0])))
+                rels.append(galg.unit(x))
+            elif hit[1] != x:
+                rels.append(galg.add(galg.unit(x), galg.unit(hit[1], -hit[0])))
         return rels
 
     def dummy_relations(self, header: TensorHeader) -> list[GroupVector]:
@@ -687,21 +675,21 @@ class Registry:
         that the projection replaces."""
         n = header.degree
         p = header.npairs
-        gens: list[Perm] = []
+        gens: list[tuple] = []
         for k in range(1, p + 1):
             m = list(range(1, n + 1))
             m[2 * k - 2], m[2 * k - 1] = m[2 * k - 1], m[2 * k - 2]
-            gens.append(Perm._trusted(tuple(m)))
+            gens.append(tuple(m))
         for k in range(1, p):
             m = list(range(1, n + 1))
             m[2 * k - 2], m[2 * k] = m[2 * k], m[2 * k - 2]
             m[2 * k - 1], m[2 * k + 1] = m[2 * k + 1], m[2 * k - 1]
-            gens.append(Perm._trusted(tuple(m)))
+            gens.append(tuple(m))
         rels: list[GroupVector] = []
         for g in gens:
             rels.extend(
                 galg.add(galg.unit(perm.multiply(pi, g)), galg.unit(pi, -1))
-                for pi in all_perms(n))
+                for pi in coset_reps(n, 0))
         return rels
 
     def expression_basis(self, header: TensorHeader) -> KBasis:
@@ -723,8 +711,8 @@ class Registry:
         self._check_cosets(h)
         closure = self._header_closure(h)
         cosets = project(expr.vec, p)
-        v = orbit_project(cosets, closure.table, p)
-        closure.close(q.map for _, q in v.terms)
+        v = orbit_project(cosets, closure.table)
+        closure.close(q for _, q in v.terms)
         canonical, shortest = closure.basis.sieve_trace(v)
         for form in (cosets, expr.vec):
             if len(form) <= len(shortest):

@@ -5,8 +5,7 @@ from fractions import Fraction
 import random
 
 from tensorcanon import frontend, galg
-from tensorcanon.perm import Perm
-from tensorcanon.texpr import Registry, all_perms
+from tensorcanon.texpr import Registry, coset_reps
 
 # The standard scenarios: an antisymmetric and a symmetric pair tensor,
 # their rank-3 analogues, and a curvature-type rank-4 tensor with a
@@ -37,7 +36,7 @@ def make_registry(*tensors: str, max_rank: int = 8) -> Registry:
 
 
 def random_vector(rng: random.Random, n: int, max_terms: int = 4):
-    perms = list(all_perms(n))
+    perms = list(coset_reps(n, 0))
     d = {}
     for _ in range(rng.randint(1, max_terms)):
         p = rng.choice(perms)
@@ -46,9 +45,8 @@ def random_vector(rng: random.Random, n: int, max_terms: int = 4):
     return galg.from_dict(n, d)
 
 
-def inversion_sign(p: Perm) -> int:
+def inversion_sign(p: tuple) -> int:
     """Parity of p, (-1)^(number of inversions), independent of the engine."""
-    m = p.map
-    inv = sum(1 for i in range(len(m)) for j in range(i + 1, len(m))
-              if m[i] > m[j])
+    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
+              if p[i] > p[j])
     return -1 if inv % 2 else 1

@@ -10,7 +10,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from tensorcanon import galg, perm
-from tensorcanon.perm import Perm
 from tensorcanon.texpr import (IndexSlot, RawTerm, TensorError, TensorExpr,
                                TensorHeader)
 
@@ -71,7 +70,7 @@ def normalize(self, terms: Sequence[RawTerm]) -> TensorExpr:
     header = TensorHeader(tuple(zip(names0, arities0)), tuple(slots))
 
     n = header.degree
-    acc: dict[Perm, Fraction] = {}
+    acc: dict[tuple, Fraction] = {}
     for c, names, _, keys, _ in norm:
         if names != names0:
             raise TensorError("terms of one expression must share the"
@@ -84,7 +83,7 @@ def normalize(self, terms: Sequence[RawTerm]) -> TensorExpr:
     return TensorExpr(header, galg.from_dict(n, acc))
 
 
-def _term_perm(keys: Sequence, ref: Sequence) -> Perm:
+def _term_perm(keys: Sequence, ref: Sequence) -> tuple:
     """Permutation of a term relative to the reference slot list.
 
     With sigma the selection with keys = apply(sigma, ref), the term's
@@ -99,4 +98,4 @@ def _term_perm(keys: Sequence, ref: Sequence) -> Perm:
     except KeyError as e:
         raise TensorError(f"index {e.args[0]!r} not present in the reference"
                           " slots") from None
-    return perm.inverse(Perm(sigma))
+    return perm.inverse(perm.check(sigma))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from tensorcanon.perm import Perm
 from tensorcanon.texpr import Generator
 
 
@@ -36,17 +35,17 @@ def _orbit(root: tuple, gens: Sequence[Generator],
     return sign, zero
 
 
-def signed_orbits(reps: Iterable[Perm], gens: Sequence[Generator],
-                  npairs: int) -> dict[tuple, Optional[tuple[int, Perm]]]:
+def signed_orbits(reps: Iterable[tuple], gens: Sequence[Generator],
+                  npairs: int) -> dict[tuple, Optional[tuple[int, tuple]]]:
     """The signed orbit table over coset minima `reps`, given in ascending
     order: each maps to (s, m) with e_x = s*e_m, m the orbit minimum (the
     first of its orbit met), or to None when its orbit vanishes."""
     lead = 2 * npairs
-    table: dict[tuple, Optional[tuple[int, Perm]]] = {}
+    table: dict[tuple, Optional[tuple[int, tuple]]] = {}
     for rep in reps:
-        if rep.map in table:
+        if rep in table:
             continue
-        sign, zero = _orbit(rep.map, gens, lead)
+        sign, zero = _orbit(rep, gens, lead)
         for x, s in sign.items():
             table[x] = None if zero else (s, rep)
     return table

@@ -2,7 +2,8 @@
 it closed them over the orbits they reach: every coset minimum listed,
 one kept per double coset S_a*rho*G_D, its translates mapped through the
 orbit table.  Kept as the reference that the closure replaces; moved
-verbatim, `Registry._quotient` becoming `quotient(self, ...)`.
+verbatim, `Registry._quotient` becoming `quotient(self, ...)`, and since
+then only ported to permutations as plain one-line tuples.
 """
 
 from __future__ import annotations
@@ -11,22 +12,21 @@ from typing import Iterable
 
 from tensorcanon import galg
 from tensorcanon.galg import GroupVector
-from tensorcanon.perm import Perm
 from tensorcanon.texpr import (Generator, OrbitTable, TensorError,
                                TensorHeader, coset_minimum, coset_reps,
                                orbit_project)
 
 
-def double_coset_reps(rhos: Iterable[Perm], lo: int, hi: int,
-                      npairs: int) -> list[Perm]:
+def double_coset_reps(rhos: Iterable[tuple], lo: int, hi: int,
+                      npairs: int) -> list[tuple]:
     """The first of `rhos` in each double coset S_a*rho*G_D, where S_a
     permutes the values lo+1..hi of a map (acting on the left) and G_D
     renames the first npairs slot pairs (on the right).  The key drops
     which block value sits where (one token, 0, for all of them) and then
     takes the coset minimum of what is left."""
-    reps: dict[tuple, Perm] = {}
+    reps: dict[tuple, tuple] = {}
     for rho in rhos:
-        key = tuple(0 if lo < x <= hi else x for x in rho.map)
+        key = tuple(0 if lo < x <= hi else x for x in rho)
         reps.setdefault(coset_minimum(key, 2 * npairs), rho)
     return list(reps.values())
 
@@ -76,8 +76,7 @@ def quotient(self, header: TensorHeader, full: bool = False
             lifted = galg.lift_right(galg.lift_left(row, off),
                                      n - off - arity)
             for rho in reps:
-                r = orbit_project(galg.translate_right(lifted, rho),
-                                  table, p)
+                r = orbit_project(galg.translate_right(lifted, rho), table)
                 if not r.is_zero():
                     rels.append(r)
     return table, rels

@@ -1,5 +1,7 @@
 """Session behaviour, switches, diagnostics, exports and the arg parser."""
 
+import contextlib
+import hashlib
 import io
 import json
 import re
@@ -21,6 +23,30 @@ def run_session(text, **kw):
 
 
 SETUP = "tensor a2; tsym a2(i,j)+a2(j,i);\n"
+
+EXPORT_SETUP = (
+    "tensor a2, a3, ri;\n"
+    "tsym a2(i,j)+a2(j,i);\n"
+    "tsym a3(i,j,k)+a3(j,i,k), a3(i,j,k)-a3(j,k,i);\n"
+    "tsym ri(i,j,k,l)+ri(j,i,k,l), ri(i,j,k,l)+ri(i,j,l,k),"
+    " ri(i,j,k,l)+ri(i,k,l,j)+ri(i,l,j,k);\n")
+
+# sha256 of the --export-basis dumps under EXPORT_SETUP, text and --json:
+# the export format is pinned byte for byte
+EXPORT_DIGESTS = {
+    ("ri", False):
+        "2092007b6ff594e183998b8f3d398a0cb6499ee44a04fc2e6b749966ccdd4fa8",
+    ("ri", True):
+        "af4941fb151548a0b5ed2ca6343fa37bec3a860acdaea1fb150d7cb7055314ae",
+    ("a3", False):
+        "c9e71c77db2b2b313b6f42872f403720bf47053fe841bc05dffe928e24523745",
+    ("a3", True):
+        "60ca6c033c6299eded69393d01183640365a7b9bce9a215dc7561756b011487a",
+    ("a2(ri)", False):
+        "060485345f3f23cb30ac3ed1431ed5fb47ba86baeed98b60c566ae9990cd4ca5",
+    ("a2(ri)", True):
+        "77c7f5ed1e8efb42eb36c45c079adae8204e604879959a3ba6e0208bccdd31cb",
+}
 
 
 class TestSession:
@@ -154,6 +180,30 @@ class TestExports:
         assert obj["dimension"] == 1
         assert len(obj["rows"]) == 1
         assert obj["rows"][0]["perms"] == [[2, 1], [1, 2]]
+
+    def test_dumps_byte_for_byte(self):
+        for (spec, as_json), digest in EXPORT_DIGESTS.items():
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["--export-basis", spec] + (["--json"] if as_json else [])
+            status = cli.run(argv, stdin=io.StringIO(EXPORT_SETUP),
+                             stdout=out, stderr=err)
+            assert (status, err.getvalue()) == (0, ""), spec
+            got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            assert got == digest, (spec, as_json)
+
+
+class TestReadme:
+    def test_library_example(self):
+        # the python block of the README's "Library use" section runs and
+        # prints what its comment says
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(blocks[0], {})
+        assert out.getvalue() == "(-1)*a2(i,j)\n"
+        assert "# (-1)*a2(i,j)" in blocks[0]
 
 
 class TestMemtable:

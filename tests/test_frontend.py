@@ -13,7 +13,6 @@ from tensorcanon.frontend import (Assignment, ExprEval, KBasisQuery,
                                   ParseError, ShowTime, SwitchSet, SymDecl,
                                   TClear, TensorDecl, parse, resolve,
                                   to_raw_terms)
-from tensorcanon.perm import Perm
 from tensorcanon.texpr import IndexSlot, TensorHeader
 
 from conftest import make_registry, raw_terms
@@ -241,7 +240,7 @@ class TestPrinting:
 
     def test_format_vector_rearranges_slots(self):
         header_names = ["i", "j"]
-        v = galg.unit(Perm((2, 1)))
+        v = galg.unit((2, 1))
         out = frontend.format_vector(v, (("a2", 2),), header_names)
         assert out == "a2(j,i)"
 
