@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
-from fractions import Fraction
 from functools import reduce as _reduce
 from math import lcm
 

@@ -1,15 +1,14 @@
 """Group-algebra vectors over S_n.
 
 A GroupVector is an exact sparse linear combination of permutations, each
-its one-line map, with rational coefficients.  Terms are kept strictly
-ordered in descending lexicographic order of the maps, with no duplicates
-and no zero coefficients.  The zero vector is the empty term list.
+its one-line map, with `int` coefficients where integral, else `Fraction`,
+never `float`.  Terms are in strictly descending lexicographic order of
+the maps, with no zero coefficients; the zero vector has no terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce as _reduce
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable
@@ -24,7 +23,7 @@ class GroupVector:
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: Iterable[tuple[Fraction, tuple]] = (),
+    def __init__(self, degree: int, terms: Iterable[tuple] = (),
                  *, _normalized: bool = False):
         # terms built by the engine come _normalized and are not checked
         self.degree = degree
@@ -50,13 +49,18 @@ class GroupVector:
         return f"GroupVector({self.degree}, {body})"
 
 
+def coef(c) -> int | Fraction:
+    """An input coefficient: an int as it is, else an exact Fraction."""
+    return c if type(c) is int else Fraction(c)
+
+
 def _merge_terms(degree: int, tl) -> tuple:
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, int | Fraction] = {}
     for c, p in tl:
         p = check(p)
         if len(p) != degree:
             raise ValueError(f"term degree {len(p)} != vector degree {degree}")
-        acc[p] = acc.get(p, Fraction(0)) + c
+        acc[p] = acc.get(p, 0) + coef(c)
     out = [(c, p) for p, c in acc.items() if c != 0]
     out.sort(key=_MAP, reverse=True)
     return tuple(out)
@@ -68,13 +72,13 @@ def zero(degree: int) -> GroupVector:
 
 def unit(p: tuple, c=1) -> GroupVector:
     """The single-term vector c*e_p."""
-    c = Fraction(c)
+    c = coef(c)
     if c == 0:
         return zero(len(p))
     return GroupVector(len(p), ((c, p),), _normalized=True)
 
 
-def from_dict(degree: int, d: dict[tuple, Fraction]) -> GroupVector:
+def from_dict(degree: int, d: dict[tuple, int | Fraction]) -> GroupVector:
     terms = sorted(((c, p) for p, c in d.items() if c != 0),
                    key=_MAP, reverse=True)
     return GroupVector(degree, tuple(terms), _normalized=True)
@@ -102,7 +106,7 @@ def add(u: GroupVector, v: GroupVector) -> GroupVector:
 
 
 def scale(c, v: GroupVector) -> GroupVector:
-    c = Fraction(c)
+    c = coef(c)
     if c == 0:
         return zero(v.degree)
     if c == 1:
@@ -118,20 +122,18 @@ def negate(v: GroupVector) -> GroupVector:
 def renorm(v: GroupVector) -> GroupVector:
     """Scale to coprime integer coefficients with positive leading term.
 
-    Rational coefficients are first cleared to a common denominator.  The
-    zero vector passes through unchanged.
+    Fractions are first cleared to a common denominator; the result's
+    coefficients are ints.  The zero vector passes through unchanged.
     """
     if not v.terms:
         return v
-    den = _reduce(lcm, (c.denominator for c, _ in v.terms), 1)
-    nums = [int(c * den) for c, _ in v.terms]
-    g = _reduce(gcd, (abs(x) for x in nums))
+    den = lcm(*[c.denominator for c, _ in v.terms])
+    nums = [c.numerator * (den // c.denominator) for c, _ in v.terms]
+    g = gcd(*nums)
     if nums[0] < 0:
         g = -g
-    return GroupVector(v.degree,
-                       tuple((Fraction(x // g) if x % g == 0 else Fraction(x, g), p)
-                             for x, (_, p) in zip(nums, v.terms)),
-                       _normalized=True)
+    terms = tuple((x // g, p) for x, (_, p) in zip(nums, v.terms))
+    return GroupVector(v.degree, terms, _normalized=True)
 
 
 def translate_right(v: GroupVector, p: tuple) -> GroupVector:
@@ -160,7 +162,7 @@ def lift_left(v: GroupVector, d: int) -> GroupVector:
     return GroupVector(v.degree + d, terms, _normalized=True)
 
 
-def leading(v: GroupVector) -> tuple[Fraction, tuple]:
+def leading(v: GroupVector) -> tuple[int | Fraction, tuple]:
     """First term under the global descending order."""
     if not v.terms:
         raise ValueError("leading term of the zero vector")

@@ -17,12 +17,15 @@ rows (`from_rows`) and only sieved never does.
 The sieve eliminates the input's pivot terms one at a time, in descending
 permutation order.  The input and the result of each step are the forms
 along the way; sieve_trace also returns the one with the fewest terms,
-the earliest on ties.
+the earliest on ties.  A step subtracts c/pc times the row (c and pc the
+pivot's coefficients), c itself if pc is 1, else a Fraction.  An insert
+reduces a row fraction-free, to the renorm of pc*row - c*v.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Iterable
 
 from . import galg
@@ -85,7 +88,8 @@ class KBasis:
             if row is None:
                 continue
             del acc[p]
-            ratio = c / row.terms[0][0]
+            pc = row.terms[0][0]
+            ratio = c if pc == 1 else Fraction(c, pc)
             for rc, rp in row.terms[1:]:
                 x = acc.get(rp, 0) - ratio * rc
                 if x:
@@ -118,7 +122,8 @@ class KBasis:
         for rkey in cols.pop(key, ()):
             row = self._rows[rkey]
             c = next(rc for rc, rp in row.terms if rp == key)
-            new = galg.renorm(galg.add(row, galg.scale(-c / pc, v)))
+            new = galg.renorm(galg.add(galg.scale(pc, row),
+                                       galg.scale(-c, v)))
             self._rows[rkey] = new
             old = {p for _, p in row.terms[1:]}
             now = {p for _, p in new.terms[1:]}
@@ -181,8 +186,7 @@ class KBasis:
             "dimension": self.dim(),
             "rows": [
                 {
-                    "coeffs": [str(c) if c.denominator != 1 else str(c.numerator)
-                               for c, _ in row.terms],
+                    "coeffs": [str(c) for c, _ in row.terms],
                     "perms": [list(p) for _, p in row.terms],
                 }
                 for row in self._rows.values()

@@ -64,7 +64,7 @@ class _Eliminator:
         row = self._reduce(_dense(v, self.cols))
         for col in range(self.width):
             if row[col]:
-                inv = 1 / row[col]
+                inv = Fraction(1, row[col])    # 1 / an int is a float
                 self.pivot_rows[col] = [x * inv for x in row]
                 return
 
@@ -73,12 +73,7 @@ class _Eliminator:
 
     def residual_of(self, v: GroupVector) -> GroupVector:
         row = self._reduce(_dense(v, self.cols))
-        back = {}
-        inv_cols = {i: m for m, i in self.cols.items()}
-        for col, c in enumerate(row):
-            if c:
-                back[inv_cols[col]] = c
-        return galg.from_dict(self.n, back)
+        return galg.from_dict(self.n, dict(zip(self.cols, row)))
 
 
 def _eliminate(relations) -> _Eliminator:
@@ -98,10 +93,7 @@ def span_dim(relations) -> int:
 
 def member(v: GroupVector, relations) -> bool:
     """Exact membership of v in the span of the relations."""
-    relations = list(relations)
-    if not relations:
-        return v.is_zero()
-    return _eliminate(relations).residual_of(v).is_zero()
+    return residual(v, relations).is_zero()
 
 
 def residual(v: GroupVector, relations) -> GroupVector:

@@ -316,7 +316,7 @@ def orbit_project(v: GroupVector, table: OrbitTable) -> GroupVector:
     """Map every term onto the minimum of its signed double coset through
     the table, adding coefficients."""
     lead = 2 * table.npairs
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, int | Fraction] = {}
     for c, p in v.terms:
         hit = table[coset_minimum(p, lead) if lead else p]
         if hit is not None:
@@ -365,7 +365,7 @@ def project(v: GroupVector, npairs: int) -> GroupVector:
     if not npairs:
         return v
     lead = 2 * npairs
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], int | Fraction] = {}
     for c, p in v.terms:
         k = coset_minimum(p, lead)
         old = acc.get(k)
@@ -490,19 +490,19 @@ class Registry:
             if len(set(idx)) != len(idx):
                 raise TensorError("dummy indices are not allowed in symmetry"
                                   " relations")
-            parsed.append((Fraction(c), idx))
+            parsed.append((galg.coef(c), idx))
         ref = parsed[0][1]
         n = len(ref)
         self._check_rank(n)
         tensor = self._fix_arity(name, n, {})
         where = {x: i for i, x in enumerate(ref)}
-        acc: dict[tuple, Fraction] = {}
+        acc: dict[tuple, int | Fraction] = {}
         for c, idx in parsed:
             if sorted(idx) != sorted(ref):
                 raise TensorError("symmetry relation terms must use the same"
                                   " index names")
             pi = _term_map(idx, where)
-            acc[pi] = acc.get(pi, Fraction(0)) + c
+            acc[pi] = acc.get(pi, 0) + c
         # a refused relation leaves the tensor as it was
         tensor.arity = n
         if tensor.display is None:
@@ -543,8 +543,8 @@ class Registry:
                 keys, pair_names = [("f", x, 0) for x in names], {}
             else:
                 keys, pair_names = self._slot_keys(names)
-            norm.append((c, tuple([f[0] for f in facs]), facs, keys,
-                         pair_names))
+            norm.append((galg.coef(c), tuple([f[0] for f in facs]), facs,
+                         keys, pair_names))
 
         _, names0, facs0, keys0, pairs0 = norm[0]
         arities0 = [len(idx) for _, idx in facs0]
@@ -561,7 +561,7 @@ class Registry:
 
         n = header.degree
         where = {k: i for i, k in enumerate(ref_keys)}
-        acc: dict[tuple, Fraction | int] = {}
+        acc: dict[tuple, int | Fraction] = {}
         for c, names, _, keys, _ in norm:
             if names != names0:
                 raise TensorError("terms of one expression must share the"
@@ -576,8 +576,7 @@ class Registry:
         self._check_cosets(header)
         for fname, arity in pending.items():
             tensors[fname].arity = arity
-        return TensorExpr(header, galg.from_dict(
-            n, {m: Fraction(c) for m, c in acc.items()}))
+        return TensorExpr(header, galg.from_dict(n, acc))
 
     def _slot_keys(self, names: list[str]
                    ) -> tuple[list[tuple], dict[int, str]]:
