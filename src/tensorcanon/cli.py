@@ -114,16 +114,15 @@ class Session:
                                 or frontend.default_names(arity))]
         if len(set(slot_names)) < len(slot_names):
             slot_names = frontend.default_names(len(slot_names))
-        header = TensorHeader(tuple(factors),
-                              tuple(texpr.IndexSlot("free", x)
-                                    for x in slot_names))
+        header = TensorHeader(tuple(factors), (),
+                              tuple((x, 0) for x in slot_names))
         if len(factors) == 1:
             return reg.tensors[name].k0_basis(), header
         return reg.expression_basis(header), header
 
     def _print_basis(self, spec):
         basis, header = self.basis_for(spec)
-        names = [s.name for s in header.slots]
+        names = [x for x, _ in header.free]
         for row in basis.rows:
             self._print(frontend.format_vector(row, header.factors, names))
         self._print(str(basis.dim()))

@@ -366,9 +366,10 @@ def parse_basis_spec(text: str) -> tuple[str, tuple[str, ...]]:
 
 
 def resolve(expr: TermList, bindings: dict[str, TermList]) -> TermList:
-    """Substitute bound names; returns a term list of pure tensor factors."""
+    """Substitute bound names in a term list as `parse` or `resolve`
+    returns it, products collected; returns one of pure tensor factors."""
     if all(f[0] == "tensor" for _, factors in expr for f in factors):
-        return _collect(expr)
+        return expr
     result: TermList = []
     for c, factors in expr:
         prod: TermList = [(c, ())]
@@ -409,13 +410,10 @@ def default_names(arity: int) -> tuple[str, ...]:
 
 
 def _slot_names(header: TensorHeader, dummypri: bool) -> list[str]:
-    names = []
-    for i, s in enumerate(header.slots):
-        if s.kind == "dummy" and dummypri:
-            names.append(f"{s.name}_{i + 1}")
-        else:
-            names.append(s.name)
-    return names
+    names = [x for x in header.pairs for _ in (1, 2)]
+    if dummypri:
+        names = [f"{x}_{i}" for i, x in enumerate(names, 1)]
+    return names + [x for x, _ in header.free]
 
 
 def _int_text(n: int) -> str:

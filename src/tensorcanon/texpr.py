@@ -1,9 +1,11 @@
 """Tensor expressions and their canonicalization.
 
 A tensor expression is a linear combination of products of declared basic
-tensors sharing one header (factor list plus reference index slots).  Each
-term corresponds to a permutation of the reference slots, so the whole
-expression is a GroupVector in the group algebra of S_n.
+tensors sharing one header: the factor list, the names of the p dummy
+pairs, pair k in reference slots 2k-1 and 2k, and the free slots after
+them, sorted by (name, occurrence).  Each term corresponds to a
+permutation of the reference slots, so the whole expression is a
+GroupVector in the group algebra of S_n.
 
 The registry stores, per basic tensor, a triangle basis K0 of its symmetry
 and linear-identity relations.  From K0 it derives, on first use, the
@@ -99,36 +101,26 @@ class Frozen(Record):
         return hash(self._values())
 
 
-class IndexSlot(Frozen):
-    """One reference slot: a free index or half of a dummy pair."""
-
-    __slots__ = ("kind", "name", "pair", "member", "occ")
-
-    def __init__(self, kind: str,   # "free" | "dummy"
-                 name: str,         # free name, or the pair's original name
-                 pair: int = 0,     # 1-based dummy pair id
-                 member: int = 0,   # 1 | 2
-                 occ: int = 0):     # >0 for 3rd+ occurrences kept free
-        # unrolled: normalize makes one per index, and the loop is slower
-        set_ = object.__setattr__
-        set_(self, "kind", kind)
-        set_(self, "name", name)
-        set_(self, "pair", pair)
-        set_(self, "member", member)
-        set_(self, "occ", occ)
-
-
 class TensorHeader(Frozen):
-    # the factors, (name, arity) in canonical order, and the IndexSlots
-    __slots__ = ("factors", "slots")
+    """The factors, (name, arity) in canonical order, and the reference
+    slots: dummy pair k in slots 2k-1 and 2k, `pairs` naming each pair,
+    then the free slots, `free` giving each one's (name, occurrence)."""
+
+    __slots__ = ("factors", "pairs", "free")
 
     @property
     def degree(self) -> int:
-        return len(self.slots)
+        return 2 * len(self.pairs) + len(self.free)
 
     @property
     def npairs(self) -> int:
-        return sum(1 for s in self.slots if s.kind == "dummy" and s.member == 1)
+        return len(self.pairs)
+
+    @property
+    def cosets(self) -> int:
+        """The n!/(2^p*p!) minima of the cosets pi*G_D."""
+        p = self.npairs
+        return factorial(self.degree) // (2 ** p * factorial(p))
 
     def offsets(self) -> list[int]:
         out, off = [], 0
@@ -441,7 +433,7 @@ class Registry:
         n, p = header.degree, header.npairs
         if not p:
             return self._check_rank(n)
-        cosets = factorial(n) // (2 ** p * factorial(p))
+        cosets = header.cosets
         limit = factorial(self.max_rank)
         if cosets > limit:
             mc, mb = _estimate(cosets)
@@ -540,24 +532,18 @@ class Registry:
                     self._fix_arity(fname, len(idx), pending)
             names = [x for _, idx in facs for x in idx]
             if len(set(names)) == len(names):
-                keys, pair_names = [("f", x, 0) for x in names], {}
+                keys, pair_names = [("f", x, 0) for x in names], []
             else:
                 keys, pair_names = self._slot_keys(names)
             norm.append((galg.coef(c), tuple([f[0] for f in facs]), facs,
                          keys, pair_names))
 
         _, names0, facs0, keys0, pairs0 = norm[0]
-        arities0 = [len(idx) for _, idx in facs0]
+        free = sorted(k for k in keys0 if k[0] == "f")
         ref_keys = [("d", k, m) for k in range(1, len(pairs0) + 1)
-                    for m in (1, 2)]
-        ref_keys += sorted(k for k in keys0 if k[0] == "f")
-        slots = []
-        for kind, a, b in ref_keys:
-            if kind == "d":
-                slots.append(IndexSlot("dummy", pairs0[a], pair=a, member=b))
-            else:
-                slots.append(IndexSlot("free", a, occ=b))
-        header = TensorHeader(tuple(zip(names0, arities0)), tuple(slots))
+                    for m in (1, 2)] + free
+        header = TensorHeader(tuple([(f, len(idx)) for f, idx in facs0]),
+                              tuple(pairs0), tuple([k[1:] for k in free]))
 
         n = header.degree
         where = {k: i for i, k in enumerate(ref_keys)}
@@ -578,25 +564,23 @@ class Registry:
             tensors[fname].arity = arity
         return TensorExpr(header, galg.from_dict(n, acc))
 
-    def _slot_keys(self, names: list[str]
-                   ) -> tuple[list[tuple], dict[int, str]]:
+    def _slot_keys(self, names: list[str]) -> tuple[list[tuple], list[str]]:
         """The slot key of each index name of a term, ("d", pair, member)
-        or ("f", name, occurrence), and the names of its pairs by id."""
+        or ("f", name, occurrence), and the names of its pairs in order."""
         counts: dict[str, int] = {}
         for x in names:
             counts[x] = counts.get(x, 0) + 1
         keys: list[tuple] = []
         pair_of: dict[str, int] = {}
-        pair_names: dict[int, str] = {}
+        pair_names: list[str] = []
         seen: dict[str, int] = {}
         for x in names:
             occ = seen.get(x, 0)
             seen[x] = occ + 1
             if counts[x] >= 2 and occ < 2:
                 if occ == 0:
-                    pid = len(pair_names) + 1
-                    pair_of[x] = pid
-                    pair_names[pid] = x
+                    pair_names.append(x)
+                    pid = pair_of[x] = len(pair_names)
                     keys.append(("d", pid, 1))
                 else:
                     keys.append(("d", pair_of[x], 2))
@@ -642,10 +626,8 @@ class Registry:
         memo = self._memo
         hit = memo.pop(key, None)
         if hit is None:
-            n, p = header.degree, header.npairs
-            cosets = factorial(n) // (2 ** p * factorial(p))
-            hit = self._closure(header), cosets
-            cap = factorial(self.max_rank) - cosets
+            hit = self._closure(header), header.cosets
+            cap = factorial(self.max_rank) - hit[1]
             while memo and sum(e[1] for e in memo.values()) > cap:
                 del memo[next(iter(memo))]
         memo[key] = hit
@@ -723,18 +705,12 @@ class Registry:
         """Do two expressions agree under all declared relations?"""
         if b == 0:
             return self.simplify(a).canonical.is_zero()
-        if not _compatible(a.header, b.header):
+        ha, hb = a.header, b.header
+        # the free slots fix the number of pairs; pair names may differ
+        if ha.factors != hb.factors or ha.free != hb.free:
             raise TensorError("expressions have incompatible headers")
-        diff = TensorExpr(a.header, galg.add(a.vec, galg.negate(b.vec)))
+        diff = TensorExpr(ha, galg.add(a.vec, galg.negate(b.vec)))
         return self.simplify(diff).canonical.is_zero()
-
-
-def _compatible(h1: TensorHeader, h2: TensorHeader) -> bool:
-    if h1.factors != h2.factors:
-        return False
-    free1 = sorted((s.name, s.occ) for s in h1.slots if s.kind == "free")
-    free2 = sorted((s.name, s.occ) for s in h2.slots if s.kind == "free")
-    return free1 == free2 and h1.npairs == h2.npairs
 
 
 def _term_map(keys: Sequence, where: dict) -> Optional[tuple[int, ...]]:

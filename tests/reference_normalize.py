@@ -10,8 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from tensorcanon import galg, perm
-from tensorcanon.texpr import (IndexSlot, RawTerm, TensorError, TensorExpr,
-                               TensorHeader)
+from tensorcanon.texpr import RawTerm, TensorError, TensorExpr, TensorHeader
 
 
 def normalize(self, terms: Sequence[RawTerm]) -> TensorExpr:
@@ -61,13 +60,10 @@ def normalize(self, terms: Sequence[RawTerm]) -> TensorExpr:
                 for m in (1, 2)]
     ref_keys += sorted(k for k in keys0 if k[0] == "f")
     refset = sorted(ref_keys)
-    slots = []
-    for kind, a, b in ref_keys:
-        if kind == "d":
-            slots.append(IndexSlot("dummy", pairs0[a], pair=a, member=b))
-        else:
-            slots.append(IndexSlot("free", a, occ=b))
-    header = TensorHeader(tuple(zip(names0, arities0)), tuple(slots))
+    header = TensorHeader(tuple(zip(names0, arities0)),
+                          tuple(pairs0[k] for k in range(1, len(pairs0) + 1)),
+                          tuple((a, b) for kind, a, b in ref_keys
+                                if kind == "f"))
 
     n = header.degree
     acc: dict[tuple, Fraction] = {}

@@ -173,8 +173,7 @@ def test_criterion_5_properties():
             variant = _rename_variants(rng, expr, dummies, free)
             res = reg.simplify(reg.normalize(raw_terms(variant))).canonical
             assert res.vec == baseline.vec, f"{variant}: result moved"
-            assert ([s.kind for s in res.header.slots]
-                    == [s.kind for s in baseline.header.slots])
+            assert res.header.npairs == baseline.header.npairs
             done += 1
     assert done == 200
 

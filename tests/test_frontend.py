@@ -13,7 +13,6 @@ from tensorcanon.frontend import (Assignment, ExprEval, KBasisQuery,
                                   ParseError, ShowTime, SwitchSet, SymDecl,
                                   TClear, TensorDecl, parse, resolve,
                                   to_raw_terms)
-from tensorcanon.texpr import IndexSlot, TensorHeader
 
 from conftest import make_registry, raw_terms
 import reference_parser
@@ -190,6 +189,17 @@ class TestResolve:
         r = resolve(stmts[2].expr, b)
         assert r == [(3, (("tensor", "a2", ("i", "j")),))]
 
+    def test_collected_list_returned_as_is(self):
+        # parse collects every term list it returns, so resolve has
+        # nothing left to merge in a list without bound names
+        count = 0
+        for workload in ("contract", "free_sums"):
+            for _, text in workloads.pool(workload):
+                expr = parse(text)[0].expr
+                assert resolve(expr, {}) == frontend._collect(expr)
+                count += 1
+        assert count == 232
+
     def test_unbound_name(self):
         (e,) = parse("x;")
         with pytest.raises(ParseError) as ei:
@@ -237,6 +247,14 @@ class TestPrinting:
         te = self._expr(reg, "a2(m,m)")
         assert frontend.format_expr(te, dummypri=True) == "a2(m_1,m_2)"
         assert frontend.format_expr(te, dummypri=False) == "a2(m,m)"
+
+    def test_dummypri_names_two_pairs_and_free_slots(self):
+        # pair k takes slots 2k-1 and 2k; the free slots print unnumbered
+        reg = make_registry("a2", "ri")
+        te = self._expr(reg, "a2(m,n)*ri(n,c,m,d)")
+        assert (frontend.format_expr(te, dummypri=True)
+                == "a2(m_1,n_3)*ri(n_4,c,m_2,d)")
+        assert frontend.format_expr(te) == "a2(m,n)*ri(n,c,m,d)"
 
     def test_format_vector_rearranges_slots(self):
         header_names = ["i", "j"]

@@ -106,7 +106,8 @@ class TestNormalize:
         reg = make_registry("a2")
         te = reg.normalize(raw_terms("a2(i,j)"))
         assert te.vec == galg.unit((1, 2))
-        assert [s.name for s in te.header.slots] == ["i", "j"]
+        assert te.header.pairs == ()
+        assert te.header.free == (("i", 0), ("j", 0))
 
     def test_swapped_term(self):
         reg = make_registry("a2")
@@ -124,10 +125,10 @@ class TestNormalize:
     def test_dummy_slots_first(self):
         reg = make_registry("a2", "ri")
         te = reg.normalize(raw_terms("a2(m,n)*ri(m,n,c,d)"))
-        kinds = [s.kind for s in te.header.slots]
-        assert kinds == ["dummy", "dummy", "dummy", "dummy", "free", "free"]
+        assert te.header.pairs == ("m", "n")
         assert te.header.npairs == 2
-        assert [s.name for s in te.header.slots[4:]] == ["c", "d"]
+        assert te.header.free == (("c", 0), ("d", 0))
+        assert te.header.degree == 6
 
     def test_trace_single_pair(self):
         reg = make_registry("a2")
@@ -141,8 +142,8 @@ class TestNormalize:
         te = reg.normalize([(1, (("t3", ("i", "i", "i")),))])
         assert te.header.npairs == 1
         assert any("more than twice" in m for m in reg.messages)
-        free = [s for s in te.header.slots if s.kind == "free"]
-        assert len(free) == 1 and free[0].occ == 2
+        assert te.header.pairs == ("i",)
+        assert te.header.free == (("i", 2),)
 
     def test_mismatched_free_indices_rejected(self):
         reg = make_registry("a2")
@@ -357,9 +358,27 @@ class TestExpressionBasisAndSimplify:
         with pytest.raises(TensorError):
             reg.equal(x, y)
 
+    def test_equal_compares_free_slots_not_pair_names(self):
+        reg = make_registry("a2", "ri", "v1")
+        reg.declare("t3")
+        refused = [
+            ("a2(i,j)", "a2(i,k)"),             # other free names
+            # one pair and a free i each, at occurrence 0 and at 2
+            ("t3(i,j,j)", "t3(i,i,i)"),
+            # the same factors with another number of pairs leave
+            # another number of free slots
+            ("ri(m,m,i,j)", "ri(i,j,k,l)")]
+        for a, b in refused:
+            x, y = (reg.normalize(raw_terms(t)) for t in (a, b))
+            with pytest.raises(TensorError, match="incompatible headers"):
+                reg.equal(x, y)
+        x, y = (reg.normalize(raw_terms(t))
+                for t in ("a2(m,m)*v1(i)", "a2(n,n)*v1(i)"))
+        assert reg.equal(x, y)
+
 
 class TestValueClasses:
-    """Headers, slots and expressions are immutable values; a result is
+    """Headers and expressions are immutable values; a result is
     compared by its canonical and shortest forms alone."""
 
     def _expr(self):
@@ -371,21 +390,20 @@ class TestValueClasses:
         reg, te = self._expr()
         again = reg.normalize(raw_terms("a2(i,j)*ri(i,j,k,l)"))
         assert te is not again and te == again
-        for a, b in ((te, again), (te.header, again.header),
-                     (te.header.slots[0], again.header.slots[0])):
+        for a, b in ((te, again), (te.header, again.header)):
             assert hash(a) == hash(b) and len({a, b}) == 1
         other = reg.normalize(raw_terms("a2(i,j)*ri(i,j,k,m)"))
         assert te.header != other.header and te != other
-        slot = texpr.IndexSlot("free", "i")
-        assert slot == texpr.IndexSlot("free", "i", 0, 0, 0)
-        assert slot != texpr.IndexSlot("free", "i", occ=1)
-        assert slot != ("free", "i", 0, 0, 0)
+        header = texpr.TensorHeader((("t3", 3),), ("i",), (("i", 2),))
+        assert header == texpr.TensorHeader((("t3", 3),), ("i",), (("i", 2),))
+        assert header != texpr.TensorHeader((("t3", 3),), ("i",), (("i", 0),))
+        assert header != ((("t3", 3),), ("i",), (("i", 2),))
 
     def test_immutable(self):
         _, te = self._expr()
-        slot = te.header.slots[0]
-        for obj, name in ((slot, "name"), (slot, "kind"),
-                          (te.header, "slots"), (te, "vec"), (te, "header")):
+        h = te.header
+        for obj, name in ((h, "factors"), (h, "pairs"), (h, "free"),
+                          (te, "vec"), (te, "header")):
             before = getattr(obj, name)
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
@@ -408,8 +426,8 @@ class TestValueClasses:
             hash(res)
 
     def test_repr_names_the_fields(self):
-        assert repr(texpr.IndexSlot("dummy", "a", pair=1, member=2)) == (
-            "IndexSlot(kind='dummy', name='a', pair=1, member=2, occ=0)")
+        assert repr(texpr.TensorHeader((("a2", 2),), ("a",), ())) == (
+            "TensorHeader(factors=(('a2', 2),), pairs=('a',), free=())")
 
 
 class TestMemoryEstimate:
