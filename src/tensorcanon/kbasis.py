@@ -154,18 +154,6 @@ class KBasis:
                 self.insert(s)
         return self
 
-    def check_reduced(self) -> bool:
-        """Invariant check: no row touches another row's pivot, and the
-        column index, once built, lists exactly the rows that carry each
-        non-pivot permutation."""
-        for key, row in self._rows.items():
-            for _, p in row.terms[1:]:
-                if p in self._rows:
-                    return False
-            if galg.leading(row)[1] != key:
-                return False
-        return self._cols is None or self._cols == self._index()
-
     # -- export --------------------------------------------------------
 
     def dump_text(self) -> str:

@@ -8,9 +8,10 @@ permutation of the reference slots, so the whole expression is a
 GroupVector in the group algebra of S_n.
 
 The registry stores, per basic tensor, a triangle basis K0 of its symmetry
-and linear-identity relations.  From K0 it derives, on first use, the
-tensor's signed monoterm group: the (g, s) with e_id = s*e_g modulo K0, the
-pair exchange of a Riemann-type tensor included.  Together with the block
+and linear-identity relations.  On first use it reads the tensor's signed
+monoterm group off K0's rows e_g - s*e_id: the (g, s) with e_g = s*e_id
+modulo K0, the pair exchange of a Riemann-type tensor included, and keeps
+the other rows, projected, as the multiterm rows.  Together with the block
 swaps of identical factors, these act on the left of a product's terms and
 the dummy renamings G_D (pair swaps and pair permutations of the first 2p
 slots) act on the right without sign.  A term is mapped onto the minimum
@@ -18,12 +19,11 @@ of its signed double coset G*pi*G_D, or to zero when the orbit's signed
 stabilizer holds -1: first onto its coset minimum under G_D (each pair
 sorted, then the pairs sorted), then through a table of the signed orbits
 of those minima, filled one orbit at a time when a lookup first meets it.
-Only the multiterm identities are left for the sieve: each tensor's K0
-rows projected onto its own orbit minima, lifted onto each block of the
-factor, translated right by the minimum of each orbit they reach from the
-input and mapped through the table, until no orbit is new.  The orbits so
-closed carry a direct summand of the relations.  Reading a result's
-basis_dim closes every orbit.
+Only the multiterm identities are left for the sieve: each tensor's
+multiterm rows, lifted onto each block of the factor, translated right by
+the minimum of each orbit they reach from the input and mapped through the
+table, until no orbit is new.  The orbits so closed carry a direct summand
+of the relations.  Reading a result's basis_dim closes every orbit.
 
 The table and the multiterm basis depend only on the factor list and the
 number of dummy pairs, never on the free index names or the coefficients,
@@ -176,8 +176,8 @@ class BasicTensor(Record):
 
     def monoterm(self) -> tuple[list[Generator], list[GroupVector]]:
         """Generators of the signed monoterm group and the multiterm rows,
-        derived from K0 on first use (see `monoterm_data`); a tensor
-        without relations has the trivial group and no rows."""
+        read off K0 on first use (see `monoterm_data`); a tensor without
+        relations has the trivial group and no rows."""
         if self._mono is None:
             self._mono = (monoterm_data(self.k0_basis()) if self._k0
                           else ([], []))
@@ -186,34 +186,34 @@ class BasicTensor(Record):
 
 def monoterm_data(b: KBasis) -> tuple[list[Generator], list[GroupVector]]:
     """A generating set of the signed monoterm group of a stored basis and
-    its multiterm rows.
+    its multiterm rows, both read off the rows of b.
 
-    The group holds every (g, s) with e_id - s*e_g in the span of b, that
-    is with e_g sieving to s times what e_id sieves to; then e_rho =
-    s*e_{g*rho} for every rho, as the span is closed under right
-    translation.  If e_id itself lies in the span the tensor vanishes and
-    (id, -1) generates.  Generators are picked greedily in lexicographic
-    order, each one not yet in the group the earlier ones generate.  The
-    multiterm rows are the rows of b projected onto the orbit minima of
-    the group, the nonzero residues reduced: with the orbit relations they
-    span b again, and a two-term row with unequal coefficients stays."""
+    The group holds every (g, s) with e_g = s*e_id modulo the span of b,
+    which is closed under right translation, so e_rho = s*e_{g*rho}.  The
+    rows are renormed and reduced and e_id is the least map, so e_id is in
+    the span only as a row of its own: the tensor vanishes and (id, -1)
+    generates.  Else each (g, s) is a row e_g - s*e_id, s = +-1 as the
+    powers of g would otherwise give e_id.  Generators are picked greedily
+    in lexicographic order, each not yet in the group of the earlier ones.
+    The multiterm rows are the other rows projected onto the orbit minima
+    of the group, the nonzero residues reduced; a two-term row with
+    unequal coefficients stays."""
     a = b.degree
     ident = perm.identity(a)
-    base = b.sieve(galg.unit(ident))
-    if base.is_zero():
+    rows = {galg.leading(row)[1]: row for row in b.rows}
+    if ident in rows:
         return [(ident, -1)], []
-    neg = galg.negate(base)
+    signs = {g: -r.terms[1][0] for g, r in rows.items()
+             if len(r) == 2 and r.terms[1][1] == ident}
     gens: list[Generator] = []
     group = {ident: 1}
-    for g in coset_reps(a, 0):
-        r = b.sieve(galg.unit(g))
-        s = 1 if r == base else -1 if r == neg else 0
-        if s and g not in group:
-            gens.append((g, s))
+    for g in sorted(signs):
+        if g not in group:
+            gens.append((g, signs[g]))
             group = _orbit(ident, gens, 0)[0]
     table = OrbitTable(a, gens, 0)
-    return gens, KBasis(a).build(orbit_project(row, table)
-                                 for row in b.rows).rows
+    rest = (r for g, r in rows.items() if g not in signs)
+    return gens, KBasis(a).build(orbit_project(r, table) for r in rest).rows
 
 
 def _orbit(root: tuple, gens: Sequence[Generator],
@@ -444,21 +444,17 @@ class Registry:
                 f"({mb:.1f} MByte) -- raise the rank limit to proceed")
 
     def _fix_arity(self, name: str, arity: int,
-                   pending: Optional[dict[str, int]] = None) -> BasicTensor:
-        """Check `arity` against the one fixed for `name` and fix it if
-        none is: in the tensor, or only in `pending` when that is given,
-        whose arities count as fixed too."""
+                   pending: dict[str, int]) -> BasicTensor:
+        """Check `arity` against the one fixed for `name`, in the tensor or
+        in `pending`, and enter it in `pending` if none is."""
         t = self.tensors.get(name)
         if t is None:
             raise TensorError(f"{name} is not declared as tensor")
-        fixed = t.arity if pending is None else t.arity or pending.get(name)
+        fixed = t.arity or pending.get(name)
         if fixed is None:
             if arity < 1:
                 raise TensorError(f"{name} must have at least one index")
-            if pending is None:
-                t.arity = arity
-            else:
-                pending[name] = arity
+            pending[name] = arity
         elif fixed != arity:
             raise TensorError(f"{name} takes {fixed} indices, given {arity}")
         return t
@@ -513,15 +509,16 @@ class Registry:
         """Canonical factor order, dummy detection and the shared header.
 
         Repeated index names pair up by their first two occurrences; any
-        further occurrence stays free, with a diagnostic.  The arities the
-        expression fixes are kept only if it is accepted, by the coset
-        guard of `simplify` too.
+        further occurrence stays free, with one diagnostic per name.  The
+        arities the expression fixes are kept only if it is accepted, by
+        the coset guard of `simplify` too.
         """
         if not terms:
             raise TensorError("empty tensor expression")
         norm = []
         tensors = self.tensors
         pending: dict[str, int] = {}
+        noted: set[str] = set()
         for c, facs in terms:
             if not facs:
                 raise TensorError("term without tensor factors")
@@ -534,7 +531,7 @@ class Registry:
             if len(set(names)) == len(names):
                 keys, pair_names = [("f", x, 0) for x in names], []
             else:
-                keys, pair_names = self._slot_keys(names)
+                keys, pair_names = self._slot_keys(names, noted)
             norm.append((galg.coef(c), tuple([f[0] for f in facs]), facs,
                          keys, pair_names))
 
@@ -564,9 +561,11 @@ class Registry:
             tensors[fname].arity = arity
         return TensorExpr(header, galg.from_dict(n, acc))
 
-    def _slot_keys(self, names: list[str]) -> tuple[list[tuple], list[str]]:
+    def _slot_keys(self, names: list[str],
+                   noted: set[str]) -> tuple[list[tuple], list[str]]:
         """The slot key of each index name of a term, ("d", pair, member)
-        or ("f", name, occurrence), and the names of its pairs in order."""
+        or ("f", name, occurrence), and the names of its pairs in order;
+        a name met more than twice is noted unless it is in `noted`."""
         counts: dict[str, int] = {}
         for x in names:
             counts[x] = counts.get(x, 0) + 1
@@ -585,7 +584,8 @@ class Registry:
                 else:
                     keys.append(("d", pair_of[x], 2))
             else:
-                if occ >= 2:
+                if occ >= 2 and x not in noted:
+                    noted.add(x)
                     self.note(f"+++ index {x} appears more than twice;"
                               " extra occurrences are kept free")
                 keys.append(("f", x, occ))

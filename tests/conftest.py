@@ -45,6 +45,19 @@ def random_vector(rng: random.Random, n: int, max_terms: int = 4):
     return galg.from_dict(n, d)
 
 
+def check_reduced(b) -> bool:
+    """Invariant check of a KBasis: no row touches another row's pivot,
+    and the column index, once built, lists exactly the rows that carry
+    each non-pivot permutation."""
+    for key, row in b._rows.items():
+        for _, p in row.terms[1:]:
+            if p in b._rows:
+                return False
+        if galg.leading(row)[1] != key:
+            return False
+    return b._cols is None or b._cols == b._index()
+
+
 def inversion_sign(p: tuple) -> int:
     """Parity of p, (-1)^(number of inversions), independent of the engine."""
     inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p))

@@ -1,7 +1,8 @@
 """`Registry.normalize` and `_term_perm` as they were before terms were
 written straight into their inverse maps, kept as a test-only reference.
 `normalize` takes the registry as its first argument and uses its
-`_fix_arity` and `note`, so arity fixes and diagnostics land in it.
+`_fix_arity` and `note`, so arity fixes and diagnostics land in it; it
+fixes each arity in the tensor at once, even when it then refuses.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ def normalize(self, terms: Sequence[RawTerm]) -> TensorExpr:
             raise TensorError("term without tensor factors")
         facs = tuple(sorted(facs, key=lambda f: f[0]))
         for fname, idx in facs:
-            self._fix_arity(fname, len(idx))
+            pending: dict[str, int] = {}
+            tensor = self._fix_arity(fname, len(idx), pending)
+            tensor.arity = pending.get(fname, tensor.arity)
         names = [x for _, idx in facs for x in idx]
         counts: dict[str, int] = {}
         for x in names:

@@ -25,10 +25,13 @@ import pytest
 from tensorcanon import galg, oracle, perm
 from tensorcanon.cli import Session
 from tensorcanon.kbasis import KBasis
-from tensorcanon.texpr import (DegreeLimitError, OrbitTable, coset_minimum,
-                               coset_reps, orbit_project, project)
+from tensorcanon.texpr import (DegreeLimitError, OrbitTable, Registry,
+                               coset_minimum, coset_reps, monoterm_data,
+                               orbit_project, project)
 
-from conftest import RELATIONS, make_registry, random_vector, raw_terms
+from conftest import (RELATIONS, check_reduced, make_registry,
+                      random_vector, raw_terms)
+import reference_monoterm
 import reference_orbits
 import reference_quotient
 
@@ -267,7 +270,7 @@ class TestDegreeEight:
         assert len(reg.product_relations(h)) == 5052
         b = reg.expression_basis(h)
         assert b.dim() == 5021
-        assert b.check_reduced()
+        assert check_reduced(b)
         rhos = random.Random(8).sample(list(coset_reps(8, 2)), 100)
         for (name, arity), off in zip(h.factors, h.offsets()):
             for row in reg.tensors[name].k0_basis().rows:
@@ -373,6 +376,86 @@ class TestMonotermGroup:
             " tensor t; tsym t(i,j,k)-t(j,i,k);", text)
         assert again.split("\n")[1:] == fresh.split("\n")
         assert fresh == "2*t(k,l,m)*t(i,j,k)\nt(i,i,k)\n"
+
+
+def declared(name, relations):
+    """A registry declaring `name` with the relation texts given."""
+    reg = Registry()
+    reg.declare(name)
+    for rel in relations:
+        reg.declare_symmetry(raw_terms(rel))
+    return reg.tensors[name]
+
+
+class TestMonotermReference:
+    """`monoterm_data` reads the group off the stored rows; the copy that
+    sieved every unit vector of S_a (`reference_monoterm`) must give the
+    same generator list, in order, and the same multiterm rows."""
+
+    @staticmethod
+    def check(tensor):
+        k0 = tensor.k0_basis()
+        data = monoterm_data(k0)
+        assert data == reference_monoterm.monoterm_data(k0)
+        return data
+
+    def test_standard_tensors(self):
+        relations = {**RELATIONS, **MULTITERM}
+        # name: (generators, multiterm rows)
+        sizes = {"a2": (1, 0), "s2": (1, 0), "a3": (2, 0), "s3": (2, 0),
+                 "ri": (3, 1), "c3": (0, 2), "y3": (1, 1)}
+        for name, size in sizes.items():
+            gens, rows = self.check(declared(name, relations[name]))
+            assert (len(gens), len(rows)) == size, name
+
+    @pytest.mark.parametrize("relations", [
+        ["t(i,j)+t(j,i)", "t(i,j)-t(j,i)"], ["t(i,j)-2*t(j,i)"]])
+    def test_vanishing(self, relations):
+        assert self.check(declared("t", relations)) == ([((1, 2), -1)], [])
+
+    def test_random_relation_sets(self):
+        # degree 1-5, 1-3 relations of 2-3 terms; most coefficient lists
+        # add up to 0, so that not every tensor vanishes
+        shapes = [(1, 1), (1, -1), (1, -1), (1, 2, -3), (1, 1, -2),
+                  (1, 1, 1), (1, -2)]
+        rng = random.Random(1919)
+        kinds = {}
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            reg = Registry()
+            reg.declare("t")
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                reg.declare_symmetry(
+                    [(c, (("t", tuple(rng.sample(LETTERS[:n], n))),))
+                     for c in rng.choice(shapes)])
+            if reg.tensors["t"].k0_basis().dim():
+                gens, rows = self.check(reg.tensors["t"])
+                kind = ("vanishes" if gens[:1] == [(perm.identity(n), -1)]
+                        else (len(gens) > 1, bool(rows)))
+                kinds[kind] = kinds.get(kind, 0) + 1
+        # vanishing tensors, and groups of at most one and of several
+        # generators, with and without multiterm rows
+        assert len(kinds) == 5 and min(kinds.values()) >= 4, kinds
+
+    def test_sieves_no_unit_vector(self, monkeypatch):
+        six = ["t(a,b,c,d,e,f)+t(b,a,c,d,e,f)",
+               "t(a,b,c,d,e,f)+t(b,c,d,e,f,a)"]
+        tensors = [declared("ri", RELATIONS["ri"]), declared("t", six)]
+        sieved = []
+        sieve = KBasis.sieve
+
+        def spy(self, v):
+            sieved.append(len(v))
+            return sieve(self, v)
+        monkeypatch.setattr(KBasis, "sieve", spy)
+        counts = []
+        for tensor in tensors:
+            sieved.clear()
+            tensor.monoterm()
+            assert 1 not in sieved
+            counts.append(len(sieved))
+        # ri sieves its non-group rows; the antisymmetric tensor has none
+        assert counts == [15, 0]
 
 
 class TestHeaderMemo:
