@@ -14,7 +14,8 @@ The command language is a small, case-insensitive, ';'-terminated grammar:
 Expressions are sums/differences of products of integer literals,
 indexed tensors and parenthesized subexpressions; '%' starts a comment.
 Parsing expands everything into a flat list of coefficient-weighted
-products of factors; bound names stay symbolic until evaluation.
+products of factors, up to MAX_TERMS of them per product (a larger one is
+refused before it is built); bound names stay symbolic until evaluation.
 
 Lexing is one regex findall over the text into parallel kind and value
 lists; the parser walks them by index up to an end sentinel, so its cost
@@ -22,11 +23,12 @@ is linear in the tokens.  No line or column is tracked while lexing: a
 ParseError rescans the text up to its token to find them.
 
 A text that is one literal sum, `[-][k*]t(i,...)*... ± [k*]t(...)...;`,
-skips the tokens: it is validated term by term with one regex call each,
-then split on its text with the blanks removed.  Any other text goes to
-the token parser, which gives every error.  So does a literal sum with a
-comment, a non-ASCII character, a coefficient with a leading zero, or a
-first factor named by a keyword, such as `tensor(i);` or `On(i);`.
+skips the tokens: its text, blanks removed, is split once on its term
+weights, and each distinct weight, product and factor is read once.  Any
+other text goes to the token parser, which gives every error.  So does a
+literal sum with a comment, a non-ASCII character, blanks between two
+words, a coefficient with a leading zero, or a first factor named by a
+keyword, such as `tensor(i);` or `On(i);`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from .texpr import Record, TensorError, TensorExpr, TensorHeader
 Factor = tuple
 # A term list is [(int coefficient, (factor, ...)), ...].
 TermList = list
+# The most terms a product of sums may expand to, checked before building.
+MAX_TERMS = 10_000
 
 
 class ParseError(ValueError):
@@ -291,6 +295,9 @@ def _cross(a: TermList, b: TermList) -> TermList:
     if len(a) == 1 and len(b) == 1:
         (ca, fa), (cb, fb) = a[0], b[0]
         return [(ca * cb, fa + fb)]
+    if len(a) * len(b) > MAX_TERMS:
+        raise ParseError(f"a product of {len(a) * len(b)} terms exceeds the"
+                         f" limit of {MAX_TERMS}")
     return _collect([(ca * cb, fa + fb) for ca, fa in a for cb, fb in b])
 
 
@@ -303,46 +310,49 @@ def _collect(terms: TermList) -> TermList:
 
 # -- term path -----------------------------------------------------------
 
-# One signed, optionally weighted product, with ASCII classes only.  A sum
-# is matched one term per call: one match over a whole sum allocates
-# several times more.  A coefficient with a leading zero or over 18 digits
-# declines, since _Parser prints `007` as `7` and int() has a digit limit.
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_INDICES = rf"\s*\(\s*{_NAME}(?:\s*,\s*{_NAME})*\s*\)"
-_TERM_RE = re.compile(rf"\s*([-+]?)\s*(?:(0|[1-9][0-9]{{0,17}})\s*\*\s*)?"
-                      rf"({_NAME}){_INDICES}(?:\s*\*\s*{_NAME}{_INDICES})*")
-# on the matched text with the blanks removed
-_SPLIT_RE = re.compile(r"([-+]?)(?:([0-9]+)\*)?([^-+;]+)")
-_FACTOR_RE = re.compile(r"([^*(]+)\(([^)]*)\)")
+# A literal sum, blanks removed, splits on its weights into product bodies.
+# A weight with a leading zero or over 18 digits fails as a body, since
+# _Parser prints `007` as `7` and int() has a digit limit.
+_WEIGHT_RE = re.compile(r"([-+](?:(?:0|[1-9][0-9]{0,17})\*)?)")
+_FACTOR = r"[a-z_][a-z0-9_]*\([a-z_][a-z0-9_]*(?:,[a-z_][a-z0-9_]*)*\)"
+_BODY_RE = re.compile(rf"{_FACTOR}(?:\*{_FACTOR})*")
+_TOUCH_RE = re.compile(r"\s(?<=[0-9A-Za-z_]\s)\s*[0-9A-Za-z_]")
+
+
+class _Factors(dict):
+    """Factor text -> its factor, built on the first lookup."""
+
+    def __missing__(self, f):
+        name, _, idx = f[:-1].partition("(")
+        self[f] = out = ("tensor", name, tuple(idx.split(",")))
+        return out
 
 
 def _literal_sum(text):
     """The one ExprEval of a literal sum, as `_Parser` builds it, or None
     for any other text: `_Parser` then parses it and reports its errors."""
-    m = _TERM_RE.match(text)
-    # `tensor(i);` and the like start a keyword statement
-    if (m is None or m[1] == "+"
-            or not m[1] and not m[2] and m[3].lower() in _KEYWORDS):
+    # no blank may part two words; `\s` and str.split() agree on ASCII blanks
+    if not text.isascii() or _TOUCH_RE.search(text):
         return None
-    end = m.end()
-    while (m := _TERM_RE.match(text, end)) and m[1]:
-        end = m.end()
-    # `\s` and str.split() and strip() agree on what a blank is
-    if text[end:].strip() != ";":
-        return None
-    # only ASCII tokens and blanks are left, and no two words touch
     src = "".join(text.split()).lower()
-    terms, products = [], {}
-    for sign, k, body in _SPLIT_RE.findall(src):
-        # a long sum repeats few products: split each one once
-        prod = products.get(body)
-        if prod is None:
-            prod = products[body] = tuple([
-                ("tensor", name, tuple(idx.split(",")))
-                for name, idx in _FACTOR_RE.findall(body)])
-        c = int(k) if k else 1
-        terms.append((-c if sign == "-" else c, prod))
-    return [ExprEval(_collect(terms), src=src)]
+    if src[-1:] != ";" or src[0] == "+":
+        return None
+    parts = _WEIGHT_RE.split(src[:-1] if src[0] == "-" else "+" + src[:-1])
+    weights, bodies = parts[1::2], parts[2::2]
+    # an unsigned, unweighted `tensor(i);` or the like is a keyword statement
+    if weights[0] == "+" and bodies[0].partition("(")[0] in _KEYWORDS:
+        return None
+    coeffs = {w: int(w[:-1] or w + "1") for w in set(weights)}
+    acc: dict[str, int] = {}    # in order of first appearance, as _collect
+    for w, b in zip(weights, bodies):
+        acc[b] = acc.get(b, 0) + coeffs[w]
+    if not all(map(_BODY_RE.fullmatch, acc)):
+        return None
+    factors = _Factors().__getitem__
+    expr = [(c, tuple(map(factors, b.split("*"))))
+            for b, c in acc.items() if c]
+    return [ExprEval(expr or [(0, tuple(map(factors, bodies[0].split("*"))))],
+                     src=src)]
 
 
 def parse(text: str) -> list[Statement]:

@@ -37,7 +37,7 @@ whenever a stored basis changes or a tensor is undeclared.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations as _permutations
+from itertools import count, permutations as _permutations
 from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -51,6 +51,7 @@ RawFactor = tuple[str, tuple[str, ...]]
 RawTerm = tuple[Fraction | int, tuple[RawFactor, ...]]
 # A signed monoterm symmetry (g, s), g a one-line map acting on the left.
 Generator = tuple[tuple[int, ...], int]
+_FIRST = itemgetter(0)
 
 
 class TensorError(ValueError):
@@ -510,56 +511,65 @@ class Registry:
 
         Repeated index names pair up by their first two occurrences; any
         further occurrence stays free, with one diagnostic per name.  The
-        arities the expression fixes are kept only if it is accepted, by
-        the coset guard of `simplify` too.
+        first term fixes the header; a term that does not fit it is refused
+        once every term is checked.  The arities the expression fixes are
+        kept only if it is accepted, by the coset guard of `simplify` too.
         """
         if not terms:
             raise TensorError("empty tensor expression")
-        norm = []
         tensors = self.tensors
         pending: dict[str, int] = {}
         noted: set[str] = set()
+        acc: dict[tuple, int | Fraction] = {}
+        header = error = None
         for c, facs in terms:
             if not facs:
                 raise TensorError("term without tensor factors")
-            facs = sorted(facs, key=itemgetter(0))
+            facs = sorted(facs, key=_FIRST)
+            product, names = [], []
             for fname, idx in facs:
                 t = tensors.get(fname)
                 if t is None or t.arity != len(idx):
                     self._fix_arity(fname, len(idx), pending)
-            names = [x for _, idx in facs for x in idx]
-            if len(set(names)) == len(names):
-                keys, pair_names = [("f", x, 0) for x in names], []
-            else:
+                product.append(fname)
+                names += idx
+            if header is None or header.pairs:
                 keys, pair_names = self._slot_keys(names, noted)
-            norm.append((galg.coef(c), tuple([f[0] for f in facs]), facs,
-                         keys, pair_names))
-
-        _, names0, facs0, keys0, pairs0 = norm[0]
-        free = sorted(k for k in keys0 if k[0] == "f")
-        ref_keys = [("d", k, m) for k in range(1, len(pairs0) + 1)
-                    for m in (1, 2)] + free
-        header = TensorHeader(tuple([(f, len(idx)) for f, idx in facs0]),
-                              tuple(pairs0), tuple([k[1:] for k in free]))
-
-        n = header.degree
-        where = {k: i for i, k in enumerate(ref_keys)}
-        acc: dict[tuple, int | Fraction] = {}
-        for c, names, _, keys, _ in norm:
-            if names != names0:
-                raise TensorError("terms of one expression must share the"
-                                  " same product of basic tensors")
+            else:
+                pos = dict(zip(names, count(1)))
+                keys = (None if len(pos) == len(names)
+                        else self._slot_keys(names, noted)[0])
+            c = galg.coef(c)
+            if header is None:
+                free = sorted(k for k in keys if k[0] == "f")
+                ref_keys = [("d", k, m) for k in range(1, len(pair_names) + 1)
+                            for m in (1, 2)] + free
+                header = TensorHeader(tuple([(f, len(x)) for f, x in facs]),
+                                      tuple(pair_names),
+                                      tuple([k[1:] for k in free]))
+                where = {k: i for i, k in enumerate(ref_keys)}
+                product0, ref_names = product, [x for _, x, _ in free]
+            if error is None and product != product0:
+                error = ("terms of one expression must share the same"
+                         " product of basic tensors")
+            if error is not None:
+                continue
             # equal products give n distinct keys, so they match the
-            # reference slots exactly when each of them is one
-            m = _term_map(keys, where)
-            if m is None:
-                raise TensorError("terms of one expression must carry the"
-                                  " same free indices")
+            # reference slots exactly when each of them is one; without
+            # pairs, all-distinct names are matched by their positions
+            m = (_term_map(keys, where) if keys is not None
+                 else tuple(map(pos.get, ref_names)))
+            if m is None or None in m:
+                error = ("terms of one expression must carry the same free"
+                         " indices")
+                continue
             acc[m] = acc.get(m, 0) + c
+        if error is not None:
+            raise TensorError(error)
         self._check_cosets(header)
         for fname, arity in pending.items():
             tensors[fname].arity = arity
-        return TensorExpr(header, galg.from_dict(n, acc))
+        return TensorExpr(header, galg.from_dict(header.degree, acc))
 
     def _slot_keys(self, names: list[str],
                    noted: set[str]) -> tuple[list[tuple], list[str]]:

@@ -7,11 +7,12 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from tensorcanon import cli
+from tensorcanon import cli, frontend
 from tensorcanon.cli import Session
 
 
@@ -247,6 +248,26 @@ class TestRun:
         assert status == 1
         assert err.getvalue() == ("***** coefficient of 6000 digits is too"
                                   " long to print\n")
+        assert "Traceback" not in err.getvalue()
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("text, count", [
+        # each squaring squares the term count: x4 would hold 65,536 terms
+        # and x5 2^32, so x4 is refused and the later names are unbound
+        ("tensor v; x0 := v(a)+v(b); x1 := x0*x0; x2 := x1*x1;"
+         " x3 := x2*x2; x4 := x3*x3; x5 := x4*x4; x5;", 65536),
+        ("tensor v; " + "*".join(f"(v(a{i})+v(b{i}))" for i in range(24))
+         + ";", 16384),
+    ])
+    def test_expansion_limit(self, text, count):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        status = cli.run([], stdin=io.StringIO(text), stdout=out, stderr=err)
+        assert time.perf_counter() - start < 1
+        assert status == 1
+        assert err.getvalue().splitlines()[0] == (
+            f"***** a product of {count} terms exceeds the limit of"
+            f" {frontend.MAX_TERMS}")
         assert "Traceback" not in err.getvalue()
         assert out.getvalue() == ""
 

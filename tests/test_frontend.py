@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -439,7 +440,10 @@ class TestLiteralSums:
         "a2(i,j)*2;", "2*3*a2(i,j);", "a2(i,j) a2(j,i);", "a2(i,j)*x;",
         "x;", "(a2(i,j));", "a2(i,j) - (a2(j,i));", "a2();", "a2(1,2);",
         "a2(i,j); a2(j,i);", "x := a2(i,j);", "a2(i,j)", ";",
-        "1" * 19 + "*a2(i,j);",
+        "1" * 19 + "*a2(i,j);", "a2(i,j)-;", "-;", "3a2(i,j);",
+        "a2(i,j)--a2(j,i);", "a2(i,j)*;",
+        "a2(i,j) - " + "1" * 19 + "*a2(j,i);",
+        "a2(i,j) + a 2(j,i);", "a2(i,j) + 1 2*a2(j,i);",
     ])
     def test_declined(self, text, token_calls):
         assert frontend._literal_sum(text) is None
@@ -449,12 +453,26 @@ class TestLiteralSums:
     @pytest.mark.parametrize("text", [
         "0*a2(i,j);", "a2(i,j) - a2(i,j);", "-tensor(a);", "2*On(i);",
         " A2 ( I , J )\x1c-\t12 *B(k, L)*c(m) ;\n",
-        "1" * 18 + "*a2(i,j) - 1*a2(j,i);",
+        "1" * 18 + "*a2(i,j) - 1*a2(j,i);", "a2(i,j) + 0*a2(j,i);",
+        "a2(i,j) - 2*A2 ( I,j ) + 3*a2(i , J);",
     ])
     def test_taken(self, text, token_calls):
         stmts = parse(text)
         assert token_calls == []
         assert stmts == token_parse(text) == reference_parser.parse(text)
+
+    @pytest.mark.parametrize("text, taken", [
+        (" + ".join(f"{k}*a2(i,j{k})" for k in range(1, 20000))
+         + " + a2(i,j;", False),
+        ("a2(i,j)" + " " * 200000 + "- a2(j,i);", True),
+        ("a2(i,j) + a" + " " * 200000 + "2(j,i);", False),
+    ])
+    def test_linear_time(self, text, taken):
+        # a backtracking pattern would take far longer on these
+        start = time.perf_counter()
+        stmts = frontend._literal_sum(text)
+        assert time.perf_counter() - start < 1
+        assert (stmts is not None) == taken
 
     def test_pool_entries_take_the_term_path(self, monkeypatch):
         texts = [text for workload in ("contract", "free_sums")

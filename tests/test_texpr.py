@@ -205,10 +205,14 @@ NORMALIZE_TENSORS = ("a2", "s2", "a3", "ri", "v1", "t")
 def random_raw_terms(rng):
     """1-6 raw terms of one random product over a few index names, so
     names recur two and three times, some terms spoiled: another product,
-    another index name, another arity, no factors, an undeclared tensor."""
+    another index name, another arity, no factors, an undeclared tensor.
+    In about a third of the lists each term's names are a permutation of
+    the same distinct names, where they run out drawn as the others."""
     arity = {"a2": 2, "s2": 2, "a3": 3, "ri": 4, "v1": 1, "t": 2, "zz": 2}
     product = rng.sample(list(arity)[:-1], rng.randint(1, 3))
-    names = rng.sample("abcdefgh", rng.randint(2, 6))
+    distinct = rng.random() < 0.35
+    names = rng.sample("abcdefghijk", sum(arity[f] for f in product)
+                       if distinct else rng.randint(2, 6))
     terms = []
     for _ in range(rng.randint(0, 6)):
         facs = list(product)
@@ -217,9 +221,11 @@ def random_raw_terms(rng):
             facs[0] = rng.choice(list(arity))
         rng.shuffle(facs)
         term = []
+        unused = rng.sample(names, len(names)) if distinct else []
         for f in facs:
             a = arity[f] + (rng.choice((-1, 1)) if spoil > 0.96 else 0)
-            term.append((f, tuple(rng.choice(names) for _ in range(a))))
+            term.append((f, tuple(unused.pop() if unused
+                                  else rng.choice(names) for _ in range(a))))
         if 0.06 <= spoil < 0.1:
             f, idx = term[0]
             term[0] = (f, idx[:-1] + (rng.choice("xyz"),)) if idx else (f, idx)
@@ -274,6 +280,21 @@ class TestNormalizeDifferential:
                                   texpr.TensorHeader)
                 count += 1
         assert count == 232
+
+    def test_distinct_and_repeated_names_mixed(self):
+        # a term with distinct names is mapped by their positions, one with
+        # a pair by its slot keys; either may fix the header, and an arity
+        # error in a later term is raised before an earlier mismatch
+        distinct = (1, (("a2", ("i", "j")), ("s2", ("k", "l"))))
+        paired = (2, (("s2", ("k", "l")), ("a2", ("k", "j"))))
+        late = (1, (("a2", ("i",)), ("s2", ("k", "l"))))
+        for terms, error in [
+                ([distinct, paired], "carry the same free indices"),
+                ([paired, distinct, paired], "carry the same free indices"),
+                ([distinct, distinct, paired, late], "a2 takes 2 indices"),
+                ([paired, distinct, late], "a2 takes 2 indices")]:
+            result = self.check(terms, NORMALIZE_TENSORS)
+            assert result[0] is TensorError and error in result[1]
 
     def test_random_raw_terms(self):
         rng = random.Random(707)
