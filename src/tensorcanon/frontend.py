@@ -15,7 +15,8 @@ Expressions are sums/differences of products of integer literals,
 indexed tensors and parenthesized subexpressions; '%' starts a comment.
 Parsing expands everything into a flat list of coefficient-weighted
 products of factors, up to MAX_TERMS of them per product (a larger one is
-refused before it is built); bound names stay symbolic until evaluation.
+refused before it is built).  A factor is the (name, indices) pair that
+`Registry.normalize` reads, or the 1-tuple (name,) of a bound name.
 
 Lexing is one regex findall over the text into parallel kind and value
 lists; the parser walks them by index up to an end sentinel, so its cost
@@ -42,7 +43,7 @@ from .galg import GroupVector
 from .perm import apply as papply, inverse
 from .texpr import Record, TensorError, TensorExpr, TensorHeader
 
-# A parsed factor is ("tensor", name, indices) or ("ref", name).
+# A parsed factor is (name, indices), or (name,) for a bound name.
 Factor = tuple
 # A term list is [(int coefficient, (factor, ...)), ...].
 TermList = list
@@ -257,8 +258,9 @@ class _Parser:
             sign = -sign
         prod = self.factor()
         while kinds[self.i] == "*":
+            star = self.i
             self.i += 1
-            prod = _cross(prod, self.factor())
+            prod = _cross(prod, self.factor(), lambda m: self.error(m, star))
         if sign < 0:
             prod = [(-c, f) for c, f in prod]
         return prod
@@ -269,7 +271,7 @@ class _Parser:
         if kind == "ident":
             if kinds[i + 1] != "(":
                 self.i = i + 1
-                return [(1, (("ref", vals[i]),))]
+                return [(1, ((vals[i],),))]
             # name(i,j,...): step over "ident ," pairs, then expect() reports
             # any token that breaks the pattern
             j = i + 2
@@ -278,7 +280,7 @@ class _Parser:
             self.i = j
             self.expect("ident")
             self.expect(")")
-            return [(1, (("tensor", vals[i], tuple(vals[i + 2:j + 1:2])),))]
+            return [(1, ((vals[i], tuple(vals[i + 2:j + 1:2])),))]
         if kind == "int":
             self.i = i + 1
             return [(vals[i], ())]
@@ -291,13 +293,13 @@ class _Parser:
                          else f"unexpected token {vals[i]!r}", i)
 
 
-def _cross(a: TermList, b: TermList) -> TermList:
+def _cross(a: TermList, b: TermList, error=ParseError) -> TermList:
     if len(a) == 1 and len(b) == 1:
         (ca, fa), (cb, fb) = a[0], b[0]
         return [(ca * cb, fa + fb)]
     if len(a) * len(b) > MAX_TERMS:
-        raise ParseError(f"a product of {len(a) * len(b)} terms exceeds the"
-                         f" limit of {MAX_TERMS}")
+        raise error(f"a product of {len(a) * len(b)} terms exceeds the"
+                    f" limit of {MAX_TERMS}")
     return _collect([(ca * cb, fa + fb) for ca, fa in a for cb, fb in b])
 
 
@@ -324,7 +326,7 @@ class _Factors(dict):
 
     def __missing__(self, f):
         name, _, idx = f[:-1].partition("(")
-        self[f] = out = ("tensor", name, tuple(idx.split(",")))
+        self[f] = out = (name, tuple(idx.split(",")))
         return out
 
 
@@ -377,17 +379,17 @@ def parse_basis_spec(text: str) -> tuple[str, tuple[str, ...]]:
 
 def resolve(expr: TermList, bindings: dict[str, TermList]) -> TermList:
     """Substitute bound names in a term list as `parse` or `resolve`
-    returns it, products collected; returns one of pure tensor factors."""
-    if all(f[0] == "tensor" for _, factors in expr for f in factors):
+    returns it, products collected; returns one of (name, indices) factors."""
+    if all(len(f) == 2 for _, factors in expr for f in factors):
         return expr
     result: TermList = []
     for c, factors in expr:
         prod: TermList = [(c, ())]
         for f in factors:
-            if f[0] == "tensor":
+            if len(f) == 2:
                 prod = _cross(prod, [(1, (f,))])
             else:
-                name = f[1]
+                name = f[0]
                 if name not in bindings:
                     raise ParseError(f"{name} is not bound to an expression")
                 prod = _cross(prod, resolve(bindings[name], bindings))
@@ -395,17 +397,14 @@ def resolve(expr: TermList, bindings: dict[str, TermList]) -> TermList:
     return _collect(result)
 
 
-def to_raw_terms(expr: TermList):
-    """Convert a resolved term list to (coeff, ((name, indices), ...)) pairs."""
-    out = []
-    for c, factors in expr:
-        facs = []
+def to_raw_terms(expr: TermList) -> TermList:
+    """The term list itself, once checked to hold no bound name: its terms
+    are then the (coeff, ((name, indices), ...)) that `normalize` reads."""
+    for _, factors in expr:
         for f in factors:
-            if f[0] != "tensor":
-                raise ParseError(f"{f[1]} is not bound to an expression")
-            facs.append((f[1], f[2]))
-        out.append((c, tuple(facs)))
-    return out
+            if len(f) == 1:
+                raise ParseError(f"{f[0]} is not bound to an expression")
+    return expr
 
 
 # -- printing ----------------------------------------------------------

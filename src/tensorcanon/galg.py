@@ -13,7 +13,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable
 
-from .perm import check, extend_left as _pext_left, extend_right as _pext_right, multiply
+from .perm import check, multiply
 
 _MAP = itemgetter(1)
 
@@ -143,23 +143,6 @@ def translate_right(v: GroupVector, p: tuple) -> GroupVector:
     terms = sorted(((c, multiply(q, p)) for c, q in v.terms),
                    key=_MAP, reverse=True)
     return GroupVector(v.degree, tuple(terms), _normalized=True)
-
-
-def lift_right(v: GroupVector, d: int) -> GroupVector:
-    """Extend every term permutation to the right by d fixed slots."""
-    if d == 0:
-        return v
-    terms = tuple((c, _pext_right(p, d)) for c, p in v.terms)
-    return GroupVector(v.degree + d, terms, _normalized=True)
-
-
-def lift_left(v: GroupVector, d: int) -> GroupVector:
-    """Extend every term permutation to the left by d fixed slots."""
-    if d == 0:
-        return v
-    terms = sorted(((c, _pext_left(p, d)) for c, p in v.terms),
-                   key=_MAP, reverse=True)
-    return GroupVector(v.degree + d, terms, _normalized=True)
 
 
 def leading(v: GroupVector) -> tuple[int | Fraction, tuple]:

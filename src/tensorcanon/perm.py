@@ -56,17 +56,3 @@ def apply(p: tuple, l: Sequence) -> tuple:
         raise ValueError(f"sequence length {len(l)} != degree {len(p)}")
     return tuple(l[i - 1] for i in p)
 
-
-def extend_right(p: tuple, d: int) -> tuple[int, ...]:
-    """Embed p into S_{n+d} fixing the d appended slots."""
-    if d < 0:
-        raise ValueError("extension count must be nonnegative")
-    n = len(p)
-    return p + tuple(range(n + 1, n + d + 1))
-
-
-def extend_left(p: tuple, d: int) -> tuple[int, ...]:
-    """Embed p into S_{d+n} fixing the d prepended slots."""
-    if d < 0:
-        raise ValueError("extension count must be nonnegative")
-    return tuple(range(1, d + 1)) + tuple(v + d for v in p)

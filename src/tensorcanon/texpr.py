@@ -46,7 +46,8 @@ from . import galg, perm
 from .galg import GroupVector
 from .kbasis import KBasis
 
-# A raw term is (coefficient, factors); a factor is (tensor name, index names).
+# A raw term is (coefficient, factors); a factor is (tensor name, index
+# names), as `frontend.parse` builds it.
 RawFactor = tuple[str, tuple[str, ...]]
 RawTerm = tuple[Fraction | int, tuple[RawFactor, ...]]
 # A signed monoterm symmetry (g, s), g a one-line map acting on the left.
@@ -609,6 +610,10 @@ class Registry:
         n = header.degree
         gens: list[Generator] = []
         rows: list[GroupVector] = []
+
+        def embed(g):
+            # a factor's map on the slots off+1..off+arity, the others fixed
+            return head + tuple([v + off for v in g]) + tail
         for k, ((fname, arity), off) in enumerate(zip(header.factors,
                                                       header.offsets())):
             t = self.tensors.get(fname)
@@ -617,14 +622,14 @@ class Registry:
             tgens, trows = t.monoterm()
             head = tuple(range(1, off + 1))
             tail = tuple(range(off + arity + 1, n + 1))
-            gens.extend((head + tuple(v + off for v in g) + tail, s)
-                        for g, s in tgens)
+            gens.extend((embed(g), s) for g, s in tgens)
             if k and header.factors[k - 1][0] == fname:
                 m = list(range(1, n + 1))
                 m[off - arity:off + arity] = m[off:off + arity] + m[off - arity:off]
                 gens.append((tuple(m), 1))
-            rows.extend(galg.lift_right(galg.lift_left(row, off),
-                                        n - off - arity) for row in trows)
+            # a fixed head, a shift and a fixed tail keep the terms' order
+            rows.extend(GroupVector(n, [(c, embed(p)) for c, p in row.terms],
+                                    _normalized=True) for row in trows)
         return Closure(OrbitTable(n, gens, header.npairs), rows)
 
     def _header_closure(self, header: TensorHeader) -> Closure:

@@ -206,8 +206,8 @@ class _Parser:
                     self.next()
                     idx.append(self.expect("ident")[1])
                 self.expect(")")
-                return [(1, (("tensor", name, tuple(idx)),))]
-            return [(1, (("ref", name),))]
+                return [(1, ((name, tuple(idx)),))]
+            return [(1, ((name,),))]
         raise ParseError(f"unexpected token {t[1]!r}", t[2], t[3])
 
 

@@ -17,6 +17,16 @@ from tensorcanon.texpr import (Generator, OrbitTable, TensorError,
                                orbit_project)
 
 
+def _lift(row: GroupVector, off: int, right: int) -> GroupVector:
+    """A factor's row moved onto the slots off+1..off+degree of a product
+    with `right` slots after them, every other slot fixed; built through
+    the checked, sorting constructor, apart from the engine's embedding."""
+    n = off + row.degree + right
+    head, tail = tuple(range(1, off + 1)), tuple(range(n - right + 1, n + 1))
+    return GroupVector(n, [(c, head + tuple(v + off for v in p) + tail)
+                           for c, p in row.terms])
+
+
 def double_coset_reps(rhos: Iterable[tuple], lo: int, hi: int,
                       npairs: int) -> list[tuple]:
     """The first of `rhos` in each double coset S_a*rho*G_D, where S_a
@@ -73,8 +83,7 @@ def quotient(self, header: TensorHeader, full: bool = False
     for rows, off, arity in multiterm:
         reps = double_coset_reps(rhos, off, off + arity, p)
         for row in rows:
-            lifted = galg.lift_right(galg.lift_left(row, off),
-                                     n - off - arity)
+            lifted = _lift(row, off, n - off - arity)
             for rho in reps:
                 r = orbit_project(galg.translate_right(lifted, rho), table)
                 if not r.is_zero():

@@ -251,15 +251,17 @@ class TestRun:
         assert "Traceback" not in err.getvalue()
         assert out.getvalue() == ""
 
-    @pytest.mark.parametrize("text, count", [
+    @pytest.mark.parametrize("text, count, where", [
         # each squaring squares the term count: x4 would hold 65,536 terms
-        # and x5 2^32, so x4 is refused and the later names are unbound
+        # and x5 2^32, so x4 is refused and the later names are unbound;
+        # substituting a bound name has no token to point at
         ("tensor v; x0 := v(a)+v(b); x1 := x0*x0; x2 := x1*x1;"
-         " x3 := x2*x2; x4 := x3*x3; x5 := x4*x4; x5;", 65536),
+         " x3 := x2*x2; x4 := x3*x3; x5 := x4*x4; x5;", 65536, ""),
+        # the parser points at the '*' of the 14th binomial, column 198
         ("tensor v; " + "*".join(f"(v(a{i})+v(b{i}))" for i in range(24))
-         + ";", 16384),
+         + ";", 16384, " (line 1, column 198)"),
     ])
-    def test_expansion_limit(self, text, count):
+    def test_expansion_limit(self, text, count, where):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         status = cli.run([], stdin=io.StringIO(text), stdout=out, stderr=err)
@@ -267,7 +269,7 @@ class TestRun:
         assert status == 1
         assert err.getvalue().splitlines()[0] == (
             f"***** a product of {count} terms exceeds the limit of"
-            f" {frontend.MAX_TERMS}")
+            f" {frontend.MAX_TERMS}{where}")
         assert "Traceback" not in err.getvalue()
         assert out.getvalue() == ""
 

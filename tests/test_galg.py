@@ -1,4 +1,4 @@
-"""Group-algebra vectors: invariants, linear ops, translations, lifts."""
+"""Group-algebra vectors: invariants, linear ops, translations."""
 
 import random
 from fractions import Fraction
@@ -122,25 +122,6 @@ class TestTranslate:
         p = (2, 3, 1)
         assert galg.translate_right(
             galg.translate_right(v, p), perm.inverse(p)) == v
-
-
-class TestLift:
-    def test_lift_right_zero(self):
-        v = galg.unit((2, 1))
-        assert galg.lift_right(v, 0) == v
-
-    def test_lift_right_unit(self):
-        assert galg.lift_right(galg.unit((2, 1)), 1) == galg.unit(
-            (2, 1, 3))
-
-    def test_lift_left_unit(self):
-        assert galg.lift_left(galg.unit((2, 1)), 1) == galg.unit(
-            (1, 3, 2))
-
-    @given(vectors())
-    def test_lift_degree(self, v):
-        assert galg.lift_right(v, 2).degree == 5
-        assert galg.lift_left(v, 2).degree == 5
 
 
 class TestLeading:

@@ -1,5 +1,5 @@
 """Permutation arithmetic: validation, composition convention, inverses,
-slot selection, extensions."""
+slot selection."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -111,24 +111,3 @@ class TestApply:
         with pytest.raises(ValueError):
             perm.apply((1, 2), ("a",))
 
-
-class TestExtendConcat:
-    def test_extend_right_zero(self):
-        p = (2, 1)
-        assert perm.extend_right(p, 0) == p
-
-    def test_extend_right(self):
-        assert perm.extend_right((2, 1), 2) == (2, 1, 3, 4)
-
-    def test_extend_left_zero(self):
-        p = (2, 1)
-        assert perm.extend_left(p, 0) == p
-
-    def test_extend_left(self):
-        assert perm.extend_left((2, 1), 2) == (1, 2, 4, 3)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            perm.extend_right((1,), -1)
-        with pytest.raises(ValueError):
-            perm.extend_left((1,), -1)

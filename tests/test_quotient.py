@@ -36,6 +36,7 @@ import reference_orbits
 import reference_quotient
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_SCRIPT = (ROOT / "scripts" / "golden_session.tsc").read_text()
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
@@ -53,8 +54,7 @@ def reference_relations(reg, header):
     rels = []
     for (name, arity), off in zip(header.factors, offs):
         for row in reg.tensors[name].k0_basis().rows:
-            lifted = galg.lift_right(galg.lift_left(row, off),
-                                     n - off - arity)
+            lifted = reference_quotient._lift(row, off, n - off - arity)
             rels.extend(galg.translate_right(lifted, rho) for rho in perms)
     for sigma in block_swaps(header):
         rels.extend(galg.add(galg.unit(perm.multiply(sigma, rho)),
@@ -274,8 +274,7 @@ class TestDegreeEight:
         rhos = random.Random(8).sample(list(coset_reps(8, 2)), 100)
         for (name, arity), off in zip(h.factors, h.offsets()):
             for row in reg.tensors[name].k0_basis().rows:
-                lifted = galg.lift_right(galg.lift_left(row, off),
-                                         8 - off - arity)
+                lifted = reference_quotient._lift(row, off, 8 - off - arity)
                 for rho in rhos:
                     rel = project(galg.translate_right(lifted, rho), 2)
                     assert b.sieve(rel).is_zero()
@@ -568,8 +567,7 @@ class TestOrbitTable:
 
     def test_golden_session(self):
         # 19 evaluations and 7 tensors of fixed arity (v3 is never used)
-        script = (ROOT / "scripts" / "golden_session.tsc").read_text()
-        assert self.checked_session("", [script]) == 26
+        assert self.checked_session("", [GOLDEN_SCRIPT]) == 26
 
     def test_benchmark_pools(self):
         texts = [text for w in ("contract", "free_sums")
@@ -672,24 +670,18 @@ class TestClosure:
                 assert s.run_text(text) == 0, text
         return self.checked(s.registry, run)
 
-    def test_golden_session(self):
-        script = (ROOT / "scripts" / "golden_session.tsc").read_text()
-        assert self.checked_session("", [script]) == 14
+    STRESS = ["ri(i,j,k,l)*a3(i,j,k);", "ri(a,b,c,d)*ri(a,c,b,d);",
+              "ri(m,c,n,d)*ri(m,n,e,f);",
+              "ri(a,b,c,d)*ri(c,d,e,f)*ri(e,f,a,b);"]
 
-    def test_benchmark_pools(self):
-        texts = [text for w in ("contract", "free_sums")
-                 for _, text in workloads.pool(w)]
-        assert len(texts) == 232
-        # the 16 headers of contract and the 3 of free_sums
-        assert self.checked_session(workloads.DECLARATIONS, texts) == 19
+    @staticmethod
+    def pools():
+        return [text for w in ("contract", "free_sums")
+                for _, text in workloads.pool(w)]
 
-    def test_stress_shapes(self):
-        texts = ["ri(i,j,k,l)*a3(i,j,k);", "ri(a,b,c,d)*ri(a,c,b,d);",
-                 "ri(m,c,n,d)*ri(m,n,e,f);",
-                 "ri(a,b,c,d)*ri(c,d,e,f)*ri(e,f,a,b);"]
-        assert self.checked_session(workloads.DECLARATIONS, texts) == 4
-
-    def test_random_headers(self):
+    @staticmethod
+    def random_headers():
+        """A registry with the multiterm tensors c3 and y3, and its run."""
         arity = dict(ARITY, c3=3, y3=3)
         reg = make_registry(*arity)
         for name, rels in MULTITERM.items():
@@ -707,7 +699,64 @@ class TestClosure:
         def run():
             for expr in exprs:
                 reg.simplify(reg.normalize(raw_terms(expr)))
-        assert self.checked(reg, run) > 40
+        return reg, run
+
+    def test_golden_session(self):
+        assert self.checked_session("", [GOLDEN_SCRIPT]) == 14
+
+    def test_benchmark_pools(self):
+        texts = self.pools()
+        assert len(texts) == 232
+        # the 16 headers of contract and the 3 of free_sums
+        assert self.checked_session(workloads.DECLARATIONS, texts) == 19
+
+    def test_stress_shapes(self):
+        assert self.checked_session(workloads.DECLARATIONS, self.STRESS) == 4
+
+    def test_random_headers(self):
+        assert self.checked(*self.random_headers()) > 40
+
+    def test_lifted_rows_keep_the_order(self):
+        # the closure lifts each factor's multiterm rows onto its block
+        # without sorting them again: on every header of the tests above,
+        # each lifted row must be strictly descending in its maps and equal
+        # the reference lift, which sorts
+        lifted = set()
+
+        def checked_closure(reg):
+            closure = reg._closure
+
+            def check(h):
+                c = closure(h)
+                want = [reference_quotient._lift(row, off,
+                                                 h.degree - off - arity)
+                        for (name, arity), off in zip(h.factors, h.offsets())
+                        for row in reg.tensors[name].monoterm()[1]]
+                assert c.rows == want, h
+                for row in c.rows:
+                    maps = [p for _, p in row.terms]
+                    assert all(x > y for x, y in zip(maps, maps[1:])), h
+                if want:
+                    lifted.add(h.factors)
+                return c
+            reg._closure = check
+
+        for declarations, texts in (("", [GOLDEN_SCRIPT]),
+                                    (workloads.DECLARATIONS, self.pools()),
+                                    (workloads.DECLARATIONS, self.STRESS)):
+            s = Session(out=io.StringIO(), err=io.StringIO())
+            assert s.run_text(declarations) == 0
+            checked_closure(s.registry)
+            for text in texts:
+                assert s.run_text(text) == 0, text
+        reg, run = self.random_headers()
+        checked_closure(reg)
+        run()
+        # 32 products with multiterm rows, identical factors among them
+        ri, c3, y3 = ("ri", 4), ("c3", 3), ("y3", 3)
+        assert {(ri, ri), (ri, ri, ri), (c3, c3), (c3, c3, c3),
+                (y3, y3)} <= lifted
+        assert len(lifted) == 32
 
 
 def session_output(declarations, text):
