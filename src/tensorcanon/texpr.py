@@ -18,12 +18,13 @@ slots) act on the right without sign.  A term is mapped onto the minimum
 of its signed double coset G*pi*G_D, or to zero when the orbit's signed
 stabilizer holds -1: first onto its coset minimum under G_D (each pair
 sorted, then the pairs sorted), then through a table of the signed orbits
-of those minima, filled one orbit at a time when a lookup first meets it.
-Only the multiterm identities are left for the sieve: each tensor's
-multiterm rows, lifted onto each block of the factor, translated right by
-the minimum of each orbit they reach from the input and mapped through the
-table, until no orbit is new.  The orbits so closed carry a direct summand
-of the relations.  Reading a result's basis_dim closes every orbit.
+of those minima, filled one orbit at a time when a lookup first meets it,
+each walked or, without pairs, a right translate of the first.  Only the
+multiterm identities are left for the sieve: each tensor's multiterm rows,
+lifted onto each block of the factor, translated right by the minimum of
+each orbit they reach from the input and mapped through the table, until
+no orbit is new.  The orbits so closed carry a direct summand of the
+relations.  Reading a result's basis_dim closes every orbit.
 
 The table and the multiterm basis depend only on the factor list and the
 number of dummy pairs, never on the free index names or the coefficients,
@@ -246,16 +247,27 @@ def _orbit(root: tuple, gens: Sequence[Generator],
 class OrbitTable(dict):
     """The signed orbit table of the coset minima of n slots with npairs
     dummy pairs, filled one orbit at a time: looking up a minimum x not
-    yet present walks its orbit and enters every member y as (s, m), with
+    yet present enters every member y of its orbit as (s, m), with
     e_y = s*e_m and m the orbit minimum, or as None when the orbit
-    vanishes."""
+    vanishes.  Without pairs G acts freely on the left, commuting with
+    right translation, so only the first orbit G*root is walked: the
+    others are its translates by r = root^-1*x, y*r with y's sign."""
 
     def __init__(self, n: int, gens: Sequence[Generator], npairs: int):
         super().__init__()
         self.n, self.gens, self.npairs = n, gens, npairs
+        self._first = None      # pair-free: root's {value: slot}, sign, zero
 
     def __missing__(self, x: tuple) -> Optional[tuple[int, tuple]]:
-        sign, zero = _orbit(x, self.gens, 2 * self.npairs)
+        if self.npairs or self._first is None:
+            sign, zero = _orbit(x, self.gens, 2 * self.npairs)
+            if not self.npairs:
+                self._first = {v: i for i, v in enumerate(x)}, sign, zero
+        else:
+            where, first, zero = self._first
+            # (y*r)[i] = y[r[i]], r 0-based; n > 1, as S_1 is one orbit
+            r = itemgetter(*map(where.__getitem__, x))
+            sign = {r(y): s for y, s in first.items()}
         m = min(sign)
         sm = sign[m]
         self.update({y: None if zero else (s * sm, m)
@@ -263,7 +275,7 @@ class OrbitTable(dict):
         return self[x]
 
     def fill(self) -> "OrbitTable":
-        """Walk every orbit not yet entered, in ascending order of minima."""
+        """Enter every orbit not yet entered, in ascending order of minima."""
         for rho in coset_reps(self.n, self.npairs):
             if rho not in self:
                 self.__missing__(rho)

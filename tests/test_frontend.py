@@ -473,7 +473,8 @@ class TestLiteralSums:
          + " + a2(i,j;", False),
         ("a2(i,j)" + " " * 200000 + "- a2(j,i);", True),
         ("a2(i,j) + a" + " " * 200000 + "2(j,i);", False),
-    ])
+    ], ids=["unclosed-19999-terms", "blanks-between-terms",
+            "blanks-inside-word"])
     def test_linear_time(self, text, taken):
         # a backtracking pattern would take far longer on these
         start = time.perf_counter()

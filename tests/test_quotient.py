@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from tensorcanon import galg, oracle, perm
+from tensorcanon import galg, oracle, perm, texpr
 from tensorcanon.cli import Session
 from tensorcanon.kbasis import KBasis
 from tensorcanon.texpr import (DegreeLimitError, OrbitTable, Registry,
@@ -582,6 +582,36 @@ class TestOrbitTable:
         texts += [expr + ";" for expr, _ in cases(909, 40, 7, min_pairs=0)]
         # 42 evaluations and 7 tensors (v3 is not drawn)
         assert self.checked_session(workloads.DECLARATIONS, texts) == 49
+
+    @pytest.mark.parametrize("text, orbits", [
+        ("ri(a,b,c,d)", 3), ("a2(a,b)*ri(c,d,e,f)", 45),
+        ("a3(a,b,c)*s2(d,e)", 10), ("ri(a,b,c,d)*ri(e,f,g,h)", 315),
+        # t vanishes, so (id, -1) is in G and every orbit is zero
+        ("t(a,b)*s2(c,d)", 0)])
+    def test_pair_free_table_walks_one_orbit(self, text, orbits, monkeypatch):
+        # without pairs the first orbit met is walked and every other one
+        # is its right translate, entered as a walk of its own would be
+        reg = make_registry("ri", "a2", "a3", "s2")
+        reg.declare("t")
+        reg.declare_symmetry(raw_terms("t(i,j)+t(j,i)"))
+        reg.declare_symmetry(raw_terms("t(i,j)-t(j,i)"))
+        table = reg._closure(reg.normalize(raw_terms(text)).header).table
+        ref = self.reference(table)
+        assert len({hit[1] for hit in ref.values() if hit}) == orbits
+        walks = []
+        orbit = texpr._orbit
+
+        def spy(root, gens, lead):
+            walks.append(root)
+            return orbit(root, gens, lead)
+        monkeypatch.setattr(texpr, "_orbit", spy)
+        rng = random.Random(2301)
+        while True:
+            x = tuple(rng.sample(range(1, table.n + 1), table.n))
+            if min(orbit(x, table.gens, 0)[0]) != x:
+                break
+        assert table[x] == ref[x]
+        assert table.fill() == ref and walks == [x]
 
     def test_evaluation_walks_only_reached_orbits(self):
         # neither factor has multiterm rows, so only the input's own term
