@@ -188,15 +188,16 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         return 1
     session = Session(out=out, err=err, max_rank=args.max_rank,
                       echo=bool(args.script), auto_time=args.auto_time)
-    if args.script:
-        try:
+    # undecodable bytes raise UnicodeDecodeError, a ValueError
+    try:
+        if args.script:
             with open(args.script) as fh:
                 text = fh.read()
-        except OSError as e:
-            print(f"***** {e}", file=err)
-            return 1
-    else:
-        text = (stdin if stdin is not None else sys.stdin).read()
+        else:
+            text = (stdin if stdin is not None else sys.stdin).read()
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"***** {e}", file=err)
+        return 1
     status = session.run_text(text)
     if args.export_basis:
         try:

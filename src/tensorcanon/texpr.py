@@ -19,11 +19,12 @@ of its signed double coset G*pi*G_D, or to zero when the orbit's signed
 stabilizer holds -1: first onto its coset minimum under G_D (each pair
 sorted, then the pairs sorted), then through a table of the signed orbits
 of those minima, filled one orbit at a time when a lookup first meets it,
-each walked or, without pairs, a right translate of the first.  Only the
-multiterm identities are left for the sieve: each tensor's multiterm rows,
-lifted onto each block of the factor, translated right by the minimum of
-each orbit they reach from the input and mapped through the table, until
-no orbit is new.  The orbits so closed carry a direct summand of the
+each walked or, when a walked root has its pair prefix, that orbit's right
+translate by a permutation of the free slots.  Only the multiterm
+identities are left for the sieve: each tensor's multiterm rows, lifted
+onto each block of the factor, translated right by the minimum of each
+orbit they reach from the input and mapped through the table, until no
+orbit is new.  The orbits so closed carry a direct summand of the
 relations.  Reading a result's basis_dim closes every orbit.
 
 The table and the multiterm basis depend only on the factor list and the
@@ -231,8 +232,10 @@ def _orbit(root: tuple, gens: Sequence[Generator],
     zero = False
     for x in queue:
         sx = sign[x]
+        # g*x is (g[x[0]], ...); itemgetter of one index gives no tuple
+        act = itemgetter(*x) if len(x) > 1 else lambda g, v=x[0]: (g[v],)
         for g, s in gens:
-            y = tuple(map(g.__getitem__, x))
+            y = act(g)
             if lead:
                 y = coset_minimum(y, lead)
             old = sign.get(y)
@@ -249,25 +252,33 @@ class OrbitTable(dict):
     dummy pairs, filled one orbit at a time: looking up a minimum x not
     yet present enters every member y of its orbit as (s, m), with
     e_y = s*e_m and m the orbit minimum, or as None when the orbit
-    vanishes.  Without pairs G acts freely on the left, commuting with
-    right translation, so only the first orbit G*root is walked: the
-    others are its translates by r = root^-1*x, y*r with y's sign."""
+    vanishes.  G acts on the left and G_D on the first 2p slots on the
+    right, so both commute with any r permuting only the free slots.  An
+    orbit is walked only when no walked root shares x's pair prefix
+    x[:2p]; else it is that root's translate by r = root^-1*x, y*r with
+    y's sign, as coset_minimum(y*r) = coset_minimum(y)*r."""
 
     def __init__(self, n: int, gens: Sequence[Generator], npairs: int):
         super().__init__()
         self.n, self.gens, self.npairs = n, gens, npairs
-        self._first = None      # pair-free: root's {value: slot}, sign, zero
+        # pair prefix -> a walked root's {value: slot}, sign dict, zero
+        self._walked: dict[tuple, tuple[dict, dict, bool]] = {}
 
     def __missing__(self, x: tuple) -> Optional[tuple[int, tuple]]:
-        if self.npairs or self._first is None:
-            sign, zero = _orbit(x, self.gens, 2 * self.npairs)
-            if not self.npairs:
-                self._first = {v: i for i, v in enumerate(x)}, sign, zero
+        lead = 2 * self.npairs
+        prefix = x[:lead]
+        hit = self._walked.get(prefix)
+        if hit is None:
+            sign, zero = _orbit(x, self.gens, lead)
+            # with one free slot or none a prefix fixes the whole map
+            if self.n - lead > 1:
+                self._walked[prefix] = ({v: i for i, v in enumerate(x)},
+                                        sign, zero)
         else:
-            where, first, zero = self._first
-            # (y*r)[i] = y[r[i]], r 0-based; n > 1, as S_1 is one orbit
+            where, walked, zero = hit
+            # (y*r)[i] = y[r[i]], r 0-based; at least two slots here
             r = itemgetter(*map(where.__getitem__, x))
-            sign = {r(y): s for y, s in first.items()}
+            sign = {r(y): s for y, s in walked.items()}
         m = min(sign)
         sm = sign[m]
         self.update({y: None if zero else (s * sm, m)
@@ -360,6 +371,13 @@ def coset_minimum(m: tuple, lead: int) -> tuple:
     in the first `lead` slots: each pair sorted, then the pairs sorted."""
     if lead == 2:
         return m if m[0] < m[1] else (m[1], m[0]) + m[2:]
+    if lead == 4:
+        a, b, c, d = m[:4]
+        if a > b:
+            a, b = b, a
+        if c > d:
+            c, d = d, c
+        return ((a, b, c, d) if a < c else (c, d, a, b)) + m[4:]
     pairs = sorted([(a, b) if a < b else (b, a)
                     for a, b in zip(m[0:lead:2], m[1:lead:2])])
     return sum(pairs, ()) + m[lead:]

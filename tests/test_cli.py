@@ -312,6 +312,30 @@ class TestRun:
                        stderr=err) == 1
         assert "*****" in err.getvalue()
 
+    # a UnicodeDecodeError is a ValueError, not an OSError
+    BAD_BYTES = SETUP.encode() + b"a2(j,i)\xff;"
+
+    def test_undecodable_script(self, tmp_path):
+        script = tmp_path / "bad.tsc"
+        script.write_bytes(self.BAD_BYTES)
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["--script", str(script)], stdout=out,
+                       stderr=err) == 1
+        # a locale whose encoding takes 0xff leaves it to the lexer
+        assert err.getvalue().startswith("***** ")
+        assert out.getvalue() == ""
+
+    def test_undecodable_stdin(self):
+        # stdin read as under PYTHONIOENCODING=utf-8:strict
+        stdin = io.TextIOWrapper(io.BytesIO(self.BAD_BYTES), encoding="utf-8",
+                                 errors="strict")
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run([], stdin=stdin, stdout=out, stderr=err) == 1
+        assert err.getvalue() == ("***** 'utf-8' codec can't decode byte 0xff"
+                                  f" in position {len(SETUP) + 7}: invalid"
+                                  " start byte\n")
+        assert out.getvalue() == ""
+
     def test_export_flag(self):
         out = io.StringIO()
         status = cli.run(["--export-basis", "a2", "--json"],

@@ -135,6 +135,20 @@ class TestCosets:
                     if coset_minimum(pi, 2 * p) == pi]
         assert sum(1 for _ in coset_reps(12, 6)) == 10395
 
+    def test_coset_minimum_against_reference(self):
+        # the branches for one and two pairs sort nothing
+        for pi in permutations(range(1, 7)):
+            for lead in (2, 4, 6):
+                assert (coset_minimum(pi, lead)
+                        == reference_orbits.coset_minimum(pi, lead))
+        rng = random.Random(2402)
+        for _ in range(300):
+            n = rng.randint(8, 12)
+            pi = tuple(rng.sample(range(1, n + 1), n))
+            for lead in range(2, n + 1, 2):
+                assert (coset_minimum(pi, lead)
+                        == reference_orbits.coset_minimum(pi, lead)), pi
+
     def test_no_pairs_is_the_whole_group(self):
         assert list(coset_reps(4, 0)) == list(permutations(range(1, 5)))
 
@@ -598,6 +612,26 @@ class TestOrbitTable:
         table = reg._closure(reg.normalize(raw_terms(text)).header).table
         ref = self.reference(table)
         assert len({hit[1] for hit in ref.values() if hit}) == orbits
+        rng = random.Random(2301)
+        while True:
+            x = tuple(rng.sample(range(1, table.n + 1), table.n))
+            if min(texpr._orbit(x, table.gens, 0)[0]) != x:
+                break
+        walks = self.spy_walks(monkeypatch)
+        assert table[x] == ref[x]
+        assert table.fill() == ref and walks == [x]
+
+    def test_one_slot_table(self):
+        # a vanishing one-slot tensor has (id, -1) as generator; itemgetter
+        # of one index gives the item, not a 1-tuple
+        for gens, hit in (([], (1, (1,))), ([((1,), -1)], None)):
+            table = OrbitTable(1, gens, 0)
+            assert table[(1,)] == hit
+            assert table == self.reference(table)
+
+    @staticmethod
+    def spy_walks(monkeypatch):
+        """The roots of the orbits `texpr._orbit` walks from now on."""
         walks = []
         orbit = texpr._orbit
 
@@ -605,13 +639,48 @@ class TestOrbitTable:
             walks.append(root)
             return orbit(root, gens, lead)
         monkeypatch.setattr(texpr, "_orbit", spy)
-        rng = random.Random(2301)
-        while True:
-            x = tuple(rng.sample(range(1, table.n + 1), table.n))
-            if min(orbit(x, table.gens, 0)[0]) != x:
-                break
-        assert table[x] == ref[x]
-        assert table.fill() == ref and walks == [x]
+        return walks
+
+    PAIRED = ["ri(m,c,n,d)*ri(m,n,e,f)", "ri(a,b,c,d)*ri(a,e,f,g)",
+              "a2(a,b)*ri(a,c,d,e)*s2(f,g)", "ri(a,b,c,d)*a3(a,b,e)"]
+
+    @pytest.mark.parametrize("text, walks", [
+        *zip(PAIRED, (10, 3, 7, 9)),
+        # with at most one free slot a pair prefix fixes the whole map,
+        # so every orbit is walked
+        ("ri(a,b,c,d)*ri(c,d,e,f)*ri(e,f,a,b)", 33),
+        ("ri(a,b,c,d)*ri(a,c,b,d)", 8)])
+    def test_paired_table_walks_one_orbit_per_prefix(self, text, walks,
+                                                      monkeypatch):
+        # an orbit whose pair prefix a walked root shares is that root's
+        # translate by a permutation of the free slots
+        reg = make_registry("ri", "a2", "a3", "s2")
+        table = reg._closure(reg.normalize(raw_terms(text)).header).table
+        ref = self.reference(table)
+        roots = self.spy_walks(monkeypatch)
+        filled = table.fill()
+        assert filled == ref and list(filled) == list(ref)
+        lead = 2 * table.npairs
+        assert len(roots) == len({x[:lead] for x in roots}) == walks
+
+    @pytest.mark.parametrize("text", PAIRED)
+    def test_paired_translate_of_seeded_walk(self, text, monkeypatch):
+        # a seeded coset minimum, not its orbit's minimum, is walked; a
+        # minimum of another orbit with its pair prefix is a translate
+        reg = make_registry("ri", "a2", "a3", "s2")
+        table = reg._closure(reg.normalize(raw_terms(text)).header).table
+        ref = self.reference(table)
+        walks = self.spy_walks(monkeypatch)
+        lead = 2 * table.npairs
+        rng = random.Random(2401)
+        x = rng.choice([x for x, hit in ref.items() if hit and hit[1] != x])
+        assert table[x] == ref[x] and walks == [x]
+        y = rng.choice([y for y in ref
+                        if y[:lead] == x[:lead] and y not in table])
+        assert table[y] == ref[y] and walks == [x]
+        assert all(ref[z] == hit for z, hit in table.items())
+        assert table.fill() == ref
+        assert len(walks) == len({z[:lead] for z in walks})
 
     def test_evaluation_walks_only_reached_orbits(self):
         # neither factor has multiterm rows, so only the input's own term
