@@ -188,10 +188,10 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         return 1
     session = Session(out=out, err=err, max_rank=args.max_rank,
                       echo=bool(args.script), auto_time=args.auto_time)
-    # undecodable bytes raise UnicodeDecodeError, a ValueError
+    # files are UTF-8 in any locale; UnicodeDecodeError is a ValueError
     try:
         if args.script:
-            with open(args.script) as fh:
+            with open(args.script, encoding="utf-8") as fh:
                 text = fh.read()
         else:
             text = (stdin if stdin is not None else sys.stdin).read()
@@ -207,7 +207,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             return 1
         if args.output:
             try:
-                with open(args.output, "w") as fh:
+                with open(args.output, "w", encoding="utf-8") as fh:
                     fh.write(dump)
             except OSError as e:
                 print(f"***** {e}", file=err)

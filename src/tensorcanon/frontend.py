@@ -24,12 +24,14 @@ is linear in the tokens.  No line or column is tracked while lexing: a
 ParseError rescans the text up to its token to find them.
 
 A text that is one literal sum, `[-][k*]t(i,...)*... ± [k*]t(...)...;`,
-skips the tokens: its text, blanks removed, is split once on its term
-weights, and each distinct weight, product and factor is read once.  Any
-other text goes to the token parser, which gives every error.  So does a
-literal sum with a comment, a non-ASCII character, blanks between two
-words, a coefficient with a leading zero, or a first factor named by a
-keyword, such as `tensor(i);` or `On(i);`.
+skips the tokens.  The pass that removes its blanks also finds blanks
+between two words; the text is then split once on its term weights, and
+each distinct weight, product and factor is read once.  Each distinct
+factor is checked when first read, in products whose weights cancel too.
+Any other text goes to the token parser, which gives every error.  So
+does a literal sum with a comment, a non-ASCII character, blanks between
+two words, a coefficient with a leading zero, or a first factor named by
+a keyword, such as `tensor(i);` or `On(i);`.
 """
 
 from __future__ import annotations
@@ -313,18 +315,20 @@ def _collect(terms: TermList) -> TermList:
 # -- term path -----------------------------------------------------------
 
 # A literal sum, blanks removed, splits on its weights into product bodies.
-# A weight with a leading zero or over 18 digits fails as a body, since
+# A weight with a leading zero or over 18 digits fails as a factor, since
 # _Parser prints `007` as `7` and int() has a digit limit.
 _WEIGHT_RE = re.compile(r"([-+](?:(?:0|[1-9][0-9]{0,17})\*)?)")
-_FACTOR = r"[a-z_][a-z0-9_]*\([a-z_][a-z0-9_]*(?:,[a-z_][a-z0-9_]*)*\)"
-_BODY_RE = re.compile(rf"{_FACTOR}(?:\*{_FACTOR})*")
-_TOUCH_RE = re.compile(r"\s(?<=[0-9A-Za-z_]\s)\s*[0-9A-Za-z_]")
+_FACTOR_RE = re.compile(r"[a-z_][a-z0-9_]*"
+                        r"\([a-z_][a-z0-9_]*(?:,[a-z_][a-z0-9_]*)*\)")
+_TOUCH_RE = re.compile(r" (?<=[0-9A-Za-z_] )[0-9A-Za-z_]")
 
 
 class _Factors(dict):
-    """Factor text -> its factor, built on the first lookup."""
+    """Factor text -> its factor, checked and built on the first lookup."""
 
     def __missing__(self, f):
+        if _FACTOR_RE.fullmatch(f) is None:
+            raise ValueError(f)
         name, _, idx = f[:-1].partition("(")
         self[f] = out = (name, tuple(idx.split(",")))
         return out
@@ -333,10 +337,12 @@ class _Factors(dict):
 def _literal_sum(text):
     """The one ExprEval of a literal sum, as `_Parser` builds it, or None
     for any other text: `_Parser` then parses it and reports its errors."""
-    # no blank may part two words; `\s` and str.split() agree on ASCII blanks
-    if not text.isascii() or _TOUCH_RE.search(text):
+    # no blank may part two words; str.split() drops what the lexer skips
+    # as blank (on ASCII text), and each space of the join marks one run
+    src = " ".join(text.split())
+    if not text.isascii() or _TOUCH_RE.search(src):
         return None
-    src = "".join(text.split()).lower()
+    src = src.replace(" ", "").lower()
     if src[-1:] != ";" or src[0] == "+":
         return None
     parts = _WEIGHT_RE.split(src[:-1] if src[0] == "-" else "+" + src[:-1])
@@ -348,13 +354,16 @@ def _literal_sum(text):
     acc: dict[str, int] = {}    # in order of first appearance, as _collect
     for w, b in zip(weights, bodies):
         acc[b] = acc.get(b, 0) + coeffs[w]
-    if not all(map(_BODY_RE.fullmatch, acc)):
-        return None
+    # read every body, those whose weights cancel too, to check its factors
     factors = _Factors().__getitem__
-    expr = [(c, tuple(map(factors, b.split("*"))))
-            for b, c in acc.items() if c]
-    return [ExprEval(expr or [(0, tuple(map(factors, bodies[0].split("*"))))],
-                     src=src)]
+    try:
+        terms = [(c, tuple(map(factors, b.split("*"))))
+                 for b, c in acc.items()]
+    except ValueError:
+        return None
+    if not all(acc.values()):
+        terms = [t for t in terms if t[0]] or [(0, terms[0][1])]
+    return [ExprEval(terms, src=src)]
 
 
 def parse(text: str) -> list[Statement]:

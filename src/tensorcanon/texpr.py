@@ -556,7 +556,8 @@ class Registry:
         for c, facs in terms:
             if not facs:
                 raise TensorError("term without tensor factors")
-            facs = sorted(facs, key=_FIRST)
+            if len(facs) > 1:
+                facs = sorted(facs, key=_FIRST)
             product, names = [], []
             for fname, idx in facs:
                 t = tensors.get(fname)
@@ -580,6 +581,9 @@ class Registry:
                                       tuple([k[1:] for k in free]))
                 where = {k: i for i, k in enumerate(ref_keys)}
                 product0, ref_names = product, [x for _, x, _ in free]
+                # itemgetter of one name gives no tuple
+                take = (itemgetter(*ref_names) if len(ref_names) > 1 else
+                        lambda pos: tuple(map(pos.__getitem__, ref_names)))
             if error is None and product != product0:
                 error = ("terms of one expression must share the same"
                          " product of basic tensors")
@@ -587,10 +591,11 @@ class Registry:
                 continue
             # equal products give n distinct keys, so they match the
             # reference slots exactly when each of them is one; without
-            # pairs, all-distinct names are matched by their positions
-            m = (_term_map(keys, where) if keys is not None
-                 else tuple(map(pos.get, ref_names)))
-            if m is None or None in m:
+            # pairs, all-distinct names are matched by their positions.  A
+            # key or a reference name that does not match raises KeyError
+            try:
+                m = take(pos) if keys is None else _term_map(keys, where)
+            except KeyError:
                 error = ("terms of one expression must carry the same free"
                          " indices")
                 continue
@@ -758,10 +763,10 @@ class Registry:
         return self.simplify(diff).canonical.is_zero()
 
 
-def _term_map(keys: Sequence, where: dict) -> Optional[tuple[int, ...]]:
+def _term_map(keys: Sequence, where: dict) -> tuple[int, ...]:
     """The map of a term's permutation relative to the reference slots,
-    `where` giving each reference key its 0-based slot, or None when a key
-    is not a reference slot; the keys are distinct.
+    `where` giving each reference key its 0-based slot; the keys are
+    distinct, and one that is not a reference slot raises KeyError.
 
     With sigma the selection with keys = apply(sigma, ref), the term's
     permutation is sigma^{-1}; symmetry relations then close under right
@@ -769,8 +774,5 @@ def _term_map(keys: Sequence, where: dict) -> Optional[tuple[int, ...]]:
     """
     m = [0] * len(where)
     for i, k in enumerate(keys, 1):
-        j = where.get(k)
-        if j is None:
-            return None
-        m[j] = i
+        m[where[k]] = i
     return tuple(m)

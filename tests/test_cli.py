@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -321,9 +322,25 @@ class TestRun:
         out, err = io.StringIO(), io.StringIO()
         assert cli.run(["--script", str(script)], stdout=out,
                        stderr=err) == 1
-        # a locale whose encoding takes 0xff leaves it to the lexer
-        assert err.getvalue().startswith("***** ")
+        # a script is read as UTF-8 whatever the locale
+        assert err.getvalue() == ("***** 'utf-8' codec can't decode byte 0xff"
+                                  f" in position {len(SETUP) + 7}: invalid"
+                                  " start byte\n")
         assert out.getvalue() == ""
+
+    def test_utf8_script_under_c_locale(self, tmp_path):
+        # under the C locale without UTF-8 mode the locale's codec is
+        # ASCII, which cannot read the comment's é
+        script = tmp_path / "cafe.tsc"
+        script.write_bytes(SETUP.encode() + "a2(j,i); % café\n".encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-m", "tensorcanon.cli",
+                              "--script", str(script)],
+                             capture_output=True, env=env)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout.decode().splitlines()[-1] == "(-1)*a2(i,j)"
 
     def test_undecodable_stdin(self):
         # stdin read as under PYTHONIOENCODING=utf-8:strict

@@ -451,6 +451,14 @@ class TestLiteralSums:
         "a2(i,j)--a2(j,i);", "a2(i,j)*;",
         "a2(i,j) - " + "1" * 19 + "*a2(j,i);",
         "a2(i,j) + a 2(j,i);", "a2(i,j) + 1 2*a2(j,i);",
+        # a character that is no blank, between terms or before the ';'
+        "a(i)\0+b(j);", "a(i)\0;",
+        # a malformed or empty factor, also in a body that cancels
+        "a(i) - a(i) + b(j,);", "b(j) + a(i,) - a(i,);", "2*a(i)**b(j);",
+        "a(i)*;",
+        # str.split() blanks other than spaces between two words
+        "a2(i,j) + a\x0b2(j,i);", "a2(i,j) + 1\x1c2*a2(j,i);",
+        "a2(i,j)\x0b\x1cb(k);",
     ])
     def test_declined(self, text, token_calls):
         assert frontend._literal_sum(text) is None
@@ -462,6 +470,7 @@ class TestLiteralSums:
         " A2 ( I , J )\x1c-\t12 *B(k, L)*c(m) ;\n",
         "1" * 18 + "*a2(i,j) - 1*a2(j,i);", "a2(i,j) + 0*a2(j,i);",
         "a2(i,j) - 2*A2 ( I,j ) + 3*a2(i , J);",
+        "a2(i,j)\x0b-\x1ca2(j,i)\x1c+\x0b2*a2(i,j)\x0b;",
     ])
     def test_taken(self, text, token_calls):
         stmts = parse(text)

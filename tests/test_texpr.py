@@ -296,6 +296,30 @@ class TestNormalizeDifferential:
             result = self.check(terms, NORMALIZE_TENSORS)
             assert result[0] is TensorError and error in result[1]
 
+    @pytest.mark.parametrize("terms, error", [
+        # one slot: itemgetter of one name gives no tuple
+        ([(1, (("v1", ("i",)),)), (2, (("v1", ("i",)),))], None),
+        ([(1, (("v1", ("i",)),)), (1, (("v1", ("j",)),))],
+         "carry the same free indices"),
+        # a later term lacks the reference name j
+        ([(1, (("a2", ("i", "j")),)), (1, (("a2", ("i", "k")),))],
+         "carry the same free indices"),
+        # a one-factor term of the wrong arity after a correct one
+        ([(1, (("a2", ("i", "j")),)), (1, (("a2", ("i", "j", "k")),))],
+         "a2 takes 2 indices, given 3"),
+        # both factor orders of one product
+        ([(1, (("a3", ("i", "j", "k")), ("s2", ("l", "m")))),
+          (2, (("s2", ("m", "l")), ("a3", ("k", "i", "j")))),
+          (3, (("s2", ("i", "j")), ("a3", ("k", "l", "m"))))], None),
+    ], ids=["one-slot", "one-slot-other-name", "missing-name",
+            "late-arity", "both-orders"])
+    def test_pair_free_edges(self, terms, error):
+        result = self.check(terms, NORMALIZE_TENSORS)
+        if error is None:
+            assert isinstance(result[0], texpr.TensorHeader)
+        else:
+            assert result[0] is TensorError and error in result[1]
+
     def test_random_raw_terms(self):
         rng = random.Random(707)
         kinds = {}
