@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -145,69 +144,93 @@ def export_basis(session: Session, spec_text: str, as_json: bool) -> str:
     return basis.dump_json() if as_json else basis.dump_text()
 
 
-def build_argparser():
-    ap = argparse.ArgumentParser(
-        prog="tensorcanon",
-        description="Canonicalize indexed expressions under symmetries,"
-                    " multiterm linear identities and dummy renamings.")
-    ap.add_argument("--script", metavar="FILE",
-                    help="run a command script instead of reading stdin")
-    ap.add_argument("--max-rank", type=int, default=8, metavar="N",
-                    help="refuse symmetry relations over N indices and"
-                         " expressions whose n indices and p dummy pairs"
-                         " give more than N! cosets n!/(2^p*p!)"
-                         " (default 8)")
-    ap.add_argument("--export-basis", metavar="SPEC",
-                    help="after the script, dump the basis of SPEC"
-                         " (a tensor name or name(name,...))")
-    ap.add_argument("--json", action="store_true",
-                    help="structured basis export instead of text")
-    ap.add_argument("--output", metavar="FILE",
-                    help="write the basis export here (default stdout)")
-    ap.add_argument("--time", action="store_true", dest="auto_time",
-                    help="print elapsed time after each evaluation")
-    ap.add_argument("--memtable", type=int, metavar="N",
-                    help="print the storage-estimate table up to rank N"
-                         " and exit")
-    return ap
+# flag: (attribute, value type or None for a switch, metavar, --help line)
+FLAGS = {
+    "--help": ("help", None, "", "show this help and exit (also -h)"),
+    "--script": ("script", str, "FILE", "run a script instead of stdin"),
+    "--max-rank": ("max_rank", int, "N",
+                   "limit relations to N indices, cosets to N! (default 8)"),
+    "--export-basis": ("export_basis", str, "SPEC",
+                       "after the run, dump the basis of t or t1(t2,...)"),
+    "--json": ("json", None, "", "structured basis export instead of text"),
+    "--output": ("output", str, "FILE", "write the export here, not stdout"),
+    "--time": ("auto_time", None, "", "print the time of each evaluation"),
+    "--memtable": ("memtable", int, "N",
+                   "print the storage-estimate table up to rank N and exit"),
+}
+
+
+def parse_argv(argv) -> dict:
+    """Flag values by attribute from `--name value` or `--name=value`; the
+    last one wins, a value is verbatim, and a bad argument is a ValueError."""
+    args = {attr: None for attr, *_ in FLAGS.values()}
+    args["max_rank"] = 8
+    argv = iter(argv)
+    for arg in argv:
+        name, eq, value = ("--help" if arg == "-h" else arg).partition("=")
+        if name not in FLAGS:
+            raise ValueError(f"unrecognized argument: {arg} (see --help)")
+        attr, kind = FLAGS[name][:2]
+        if not (eq or kind is None):
+            value = next(argv, None)
+        if value is None or (eq and kind is None):
+            raise ValueError(f"{name} {'takes no' if eq else 'needs a'} value")
+        try:
+            args[attr] = True if kind is None else kind(value)
+        except ValueError:
+            raise ValueError(f"{name} needs an integer: {value!r}") from None
+    return args
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
-    args = build_argparser().parse_args(argv)
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    if args.memtable is not None:
+    try:
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+    except ValueError as e:
+        print(f"***** {e}", file=err)
+        return 1
+    if args["help"]:
+        out.write("usage: tensorcanon [options]\n\nCanonicalize indexed"
+                  " expressions under tensor symmetries.\n\noptions:\n"
+                  + "".join(f"  {flag} {metavar}".ljust(23) + f"{text}\n"
+                            for flag, (_, _, metavar, text) in FLAGS.items()))
+        return 0
+    if args["memtable"] is not None:
         try:
-            out.write(memtable(args.memtable))
+            out.write(memtable(args["memtable"]))
         except ValueError as e:
             print(f"***** {e}", file=err)
             return 1
         return 0
-    if args.max_rank < 1:
+    if args["max_rank"] < 1:
         print("***** --max-rank must be at least 1", file=err)
         return 1
-    session = Session(out=out, err=err, max_rank=args.max_rank,
-                      echo=bool(args.script), auto_time=args.auto_time)
-    # files are UTF-8 in any locale; UnicodeDecodeError is a ValueError
+    session = Session(out=out, err=err, max_rank=args["max_rank"],
+                      echo=bool(args["script"]), auto_time=args["auto_time"])
+    # input is UTF-8 in any locale: the real stdin is read as bytes;
+    # UnicodeDecodeError is a ValueError, not an OSError
     try:
-        if args.script:
-            with open(args.script, encoding="utf-8") as fh:
+        if args["script"]:
+            with open(args["script"], encoding="utf-8") as fh:
                 text = fh.read()
         else:
-            text = (stdin if stdin is not None else sys.stdin).read()
+            text = (stdin if stdin is not None
+                    else getattr(sys.stdin, "buffer", sys.stdin)).read()
+            text = text.decode("utf-8") if type(text) is bytes else text
     except (OSError, UnicodeDecodeError) as e:
         print(f"***** {e}", file=err)
         return 1
     status = session.run_text(text)
-    if args.export_basis:
+    if args["export_basis"]:
         try:
-            dump = export_basis(session, args.export_basis, args.json)
+            dump = export_basis(session, args["export_basis"], args["json"])
         except (ParseError, TensorError) as e:
             print(f"***** {e}", file=err)
             return 1
-        if args.output:
+        if args["output"]:
             try:
-                with open(args.output, "w", encoding="utf-8") as fh:
+                with open(args["output"], "w", encoding="utf-8") as fh:
                     fh.write(dump)
             except OSError as e:
                 print(f"***** {e}", file=err)

@@ -286,7 +286,27 @@ class TestRun:
                              capture_output=True, text=True, check=True)
         added = set(run.stdout.split())
         assert "tensorcanon.cli" in added
-        assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis"})
+        assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis",
+                                 "argparse", "gettext", "locale"})
+
+    def test_golden_run_loads_no_argparse(self):
+        # cli.run reads its flags from one table: a run of the golden
+        # script builds no argparse parser, whose first build loads gettext
+        # and locale to look for message catalogs
+        src = str(Path(cli.__file__).resolve().parents[1])
+        golden = str(Path(src).parent / "scripts" / "golden_session.tsc")
+        code = ("import io, sys; sys.path.insert(0, sys.argv[1]); before ="
+                " set(sys.modules); from tensorcanon import cli;"
+                " status = cli.run(['--script', sys.argv[2]],"
+                " stdout=io.StringIO(), stderr=sys.stderr);"
+                " print(status, *sorted(set(sys.modules) - before))")
+        run = subprocess.run([sys.executable, "-I", "-c", code, src, golden],
+                             capture_output=True, text=True, check=True)
+        assert run.stderr == ""
+        status, *added = run.stdout.split()
+        assert status == "0"
+        assert "tensorcanon.cli" in added
+        assert set(added).isdisjoint({"argparse", "gettext", "locale"})
 
     def test_memtable_flag(self):
         out = io.StringIO()
@@ -352,6 +372,23 @@ class TestRun:
                                   f" in position {len(SETUP) + 7}: invalid"
                                   " start byte\n")
         assert out.getvalue() == ""
+
+    def test_undecodable_input_under_c_locale(self, tmp_path):
+        # stdin is read as bytes and decoded as UTF-8, as --script is, so
+        # both paths print the codec's diagnostic whatever the locale
+        script = tmp_path / "bad.tsc"
+        script.write_bytes(self.BAD_BYTES)
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        want = ("***** 'utf-8' codec can't decode byte 0xff in position"
+                f" {len(SETUP) + 7}: invalid start byte\n").encode()
+        for args, stdin in ((["--script", str(script)], b""),
+                            ([], self.BAD_BYTES)):
+            run = subprocess.run([sys.executable, "-m", "tensorcanon.cli",
+                                  *args], input=stdin, capture_output=True,
+                                 env=env)
+            assert (run.returncode, run.stderr, run.stdout) == (1, want, b"")
 
     def test_export_flag(self):
         out = io.StringIO()
@@ -432,6 +469,74 @@ class TestRun:
             stdout=io.StringIO(), stderr=err)
         assert status == 1
         assert "MByte" in err.getvalue()
+
+
+class TestArgv:
+    FLAGS = ("--script", "--max-rank", "--export-basis", "--json", "--output",
+             "--time", "--memtable")
+
+    @pytest.mark.parametrize("argv", [
+        ["--bogus"], ["script.tsc"], ["--script"], ["--max-rank"],
+        ["--max-rank", "x"], ["--max-rank=1.5"], ["--memtable", ""],
+        ["--json=yes"], ["--time=1"], ["--help=1"], ["--max", "3"], ["-x"],
+        ["--"],
+    ])
+    def test_bad_argument(self, argv):
+        # one ***** line on the given stderr and status 1, where argparse
+        # printed its usage to the process's stderr and raised SystemExit
+        out, err = io.StringIO(), io.StringIO()
+        status = cli.run(argv, stdin=io.StringIO(SETUP), stdout=out,
+                         stderr=err)
+        assert status == 1
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("***** ")
+        assert out.getvalue() == ""
+
+    def test_no_abbreviations(self, tmp_path):
+        # argparse took --scr for --script; only exact names are flags
+        script = tmp_path / "ok.tsc"
+        script.write_text(SETUP)
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["--scr", str(script)], stdout=out, stderr=err) == 1
+        assert err.getvalue() == ("***** unrecognized argument: --scr"
+                                  " (see --help)\n")
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, flag):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run([flag], stdout=out, stderr=err) == 0
+        assert err.getvalue() == ""
+        listed = re.findall(r"^  (--?[a-z-]+)", out.getvalue(), re.M)
+        assert set(listed) == {"--help", *self.FLAGS}
+        assert re.search(r"(?<!-)-h\b", out.getvalue())
+
+    def run_max_rank(self, argv):
+        err = io.StringIO()
+        status = cli.run(argv, stdin=io.StringIO(SETUP + "a2(i,j)*a2(k,l);"),
+                         stdout=io.StringIO(), stderr=err)
+        return status, err.getvalue()
+
+    def test_equals_form(self):
+        refused = self.run_max_rank(["--max-rank", "3"])
+        assert refused[0] == 1 and "MByte" in refused[1]
+        assert self.run_max_rank(["--max-rank=3"]) == refused
+
+    def test_last_occurrence_wins(self):
+        refused = self.run_max_rank(["--max-rank", "3"])
+        assert self.run_max_rank(["--max-rank", "8", "--max-rank=3"]) \
+            == refused
+        assert self.run_max_rank(["--max-rank=3", "--max-rank", "8"]) \
+            == (0, "")
+
+    def test_value_is_verbatim(self):
+        # a value that starts with a dash is the flag's value, not a flag:
+        # here the name of a script that does not exist
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["--script", "--json"], stdout=out, stderr=err) == 1
+        assert err.getvalue().startswith("***** [Errno 2]")
+        assert "'--json'" in err.getvalue()
+        assert out.getvalue() == ""
 
 
 class TestRefusalLeavesRegistry:

@@ -15,19 +15,21 @@ basis with renormed rows is unique.
 
 import io
 import random
+import re
 import sys
+from collections import Counter
 from itertools import combinations, permutations
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from tensorcanon import galg, oracle, perm, texpr
+from tensorcanon import frontend, galg, oracle, perm, texpr
 from tensorcanon.cli import Session
 from tensorcanon.kbasis import KBasis
 from tensorcanon.texpr import (DegreeLimitError, OrbitTable, Registry,
-                               coset_minimum, coset_reps, monoterm_data,
-                               orbit_project, project)
+                               TensorHeader, coset_minimum, coset_reps,
+                               monoterm_data, orbit_project, project)
 
 from conftest import (RELATIONS, check_reduced, make_registry,
                       random_vector, raw_terms)
@@ -889,6 +891,56 @@ class TestMetamorphic:
                              self.EXPRS)
         assert base == reverse == dup
         assert base.split("\n")[1] == "0"
+
+    ARGS = re.compile(r"(?<=\w)\(([^()]*)\)")
+
+    @classmethod
+    def mapped(cls, text, names):
+        """`text` with the index names inside each argument list mapped."""
+        return cls.ARGS.sub(lambda m: "(" + ",".join(
+            names.get(x, x) for x in m.group(1).split(",")) + ")", text)
+
+    def test_index_renaming(self):
+        # a bijective renaming of the dummies, and an order-preserving one
+        # of the free indices, keep the canonical vector and the header up
+        # to the names, and print the mapped text; a renaming that reorders
+        # the free names permutes the free slots, and so the vector
+        cases = 0
+        for declarations, texts in (
+                (GOLDEN_SCRIPT, None),
+                (workloads.DECLARATIONS, TestClosure.pools())):
+            s = Session(out=io.StringIO(), err=io.StringIO())
+            assert s.run_text(declarations) == 0
+            reg = s.registry
+            stmts = ([st for st in frontend.parse(GOLDEN_SCRIPT)
+                      if isinstance(st, frontend.ExprEval)] if texts is None
+                     else [frontend.parse(t)[0] for t in texts])
+            for stmt in stmts:
+                raw = frontend.to_raw_terms(frontend.resolve(stmt.expr, {}))
+                counts = [Counter(x for _, idx in fs for x in idx)
+                          for _, fs in raw]
+                dummies = sorted({x for c in counts for x, k in c.items()
+                                  if k == 2})
+                free = sorted({x for c in counts for x in c} - set(dummies))
+                x = reg.simplify(reg.normalize(raw)).canonical
+                text = frontend.format_expr(x)
+                for names in (dict(zip(dummies, [f"d{k}" for k in reversed(
+                                  range(len(dummies)))])),
+                              {f: f"f{k:02}" for k, f in enumerate(free)}):
+                    renamed = [(c, tuple((t, tuple(names.get(i, i)
+                                                   for i in idx))
+                                         for t, idx in fs)) for c, fs in raw]
+                    y = reg.simplify(reg.normalize(renamed)).canonical
+                    h = x.header
+                    assert y.vec == x.vec, stmt.src
+                    assert y.header == TensorHeader(
+                        h.factors, tuple(names.get(p, p) for p in h.pairs),
+                        tuple((names.get(f, f), k) for f, k in h.free))
+                    assert frontend.format_expr(y) == self.mapped(text,
+                                                                  names)
+                    cases += 1
+        # 19 golden evaluations and the 232 pool entries, twice each
+        assert cases == 2 * (19 + 232)
 
     def test_factor_order(self):
         # dummy names print as the first term spells them, so identical
