@@ -162,7 +162,8 @@ FLAGS = {
 
 def parse_argv(argv) -> dict:
     """Flag values by attribute from `--name value` or `--name=value`; the
-    last one wins, a value is verbatim, and a bad argument is a ValueError."""
+    last one wins, a value is verbatim, and a bad argument, or `--json` or
+    `--output` without `--export-basis`, is a ValueError."""
     args = {attr: None for attr, *_ in FLAGS.values()}
     args["max_rank"] = 8
     argv = iter(argv)
@@ -179,6 +180,9 @@ def parse_argv(argv) -> dict:
             args[attr] = True if kind is None else kind(value)
         except ValueError:
             raise ValueError(f"{name} needs an integer: {value!r}") from None
+    stray = [f for f in ("--json", "--output") if args[f[2:]] is not None]
+    if stray and not args["export_basis"]:
+        raise ValueError(f"--export-basis is needed for {' and '.join(stray)}")
     return args
 
 

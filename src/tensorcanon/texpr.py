@@ -16,11 +16,12 @@ swaps of identical factors, these act on the left of a product's terms and
 the dummy renamings G_D (pair swaps and pair permutations of the first 2p
 slots) act on the right without sign.  A term is mapped onto the minimum
 of its signed double coset G*pi*G_D, or to zero when the orbit's signed
-stabilizer holds -1: first onto its coset minimum under G_D (each pair
-sorted, then the pairs sorted), then through a table of the signed orbits
-of those minima, filled one orbit at a time when a lookup first meets it,
-each walked or, when a walked root has its pair prefix, that orbit's right
-translate by a permutation of the free slots.  Only the multiterm
+stabilizer holds -1: `normalize` writes it on its coset minimum under G_D
+(each pair sorted, then the pairs sorted), numbering the pairs by first
+occurrence, and a table of the signed orbits of those minima maps it on,
+filled one orbit at a time when a lookup first meets it, each walked or,
+when a walked root has its pair prefix, that orbit's right translate by a
+permutation of the free slots.  Only the multiterm
 identities are left for the sieve: each tensor's multiterm rows, lifted
 onto each block of the factor, translated right by the minimum of each
 orbit they reach from the input and mapped through the table, until no
@@ -330,8 +331,8 @@ class Closure:
 
 
 def orbit_project(v: GroupVector, table: OrbitTable) -> GroupVector:
-    """Map every term onto the minimum of its signed double coset through
-    the table, adding coefficients."""
+    """Map every term onto the minimum of its signed double coset, its
+    coset minimum first and then through the table, adding coefficients."""
     lead = 2 * table.npairs
     acc: dict[tuple, int | Fraction] = {}
     for c, p in v.terms:
@@ -383,20 +384,6 @@ def coset_minimum(m: tuple, lead: int) -> tuple:
     return sum(pairs, ()) + m[lead:]
 
 
-def project(v: GroupVector, npairs: int) -> GroupVector:
-    """Map every term onto its coset minimum, adding coefficients: the
-    sieve through the renaming relations of npairs dummy pairs."""
-    if not npairs:
-        return v
-    lead = 2 * npairs
-    acc: dict[tuple[int, ...], int | Fraction] = {}
-    for c, p in v.terms:
-        k = coset_minimum(p, lead)
-        old = acc.get(k)
-        acc[k] = c if old is None else old + c
-    return galg.from_dict(v.degree, acc)
-
-
 def estimate_memory(n: int) -> tuple[float, float]:
     """Storage estimate for a full relation basis at degree n.
 
@@ -424,14 +411,12 @@ class Registry:
         self.max_rank = max_rank
         self.messages: list[str] = []
         self._diag = diag
-        # (factors, npairs) -> (closure, coset count), least recently
-        # used first
+        # (factors, npairs) -> (closure, cosets), least recently used first
         self._memo: dict[tuple, tuple[Closure, int]] = {}
 
     def note(self, msg: str):
-        self.messages.append(msg)
-        if self._diag is not None:
-            self._diag(msg)
+        """Send a note to `diag`, or keep it in `messages` without one."""
+        (self._diag or self.messages.append)(msg)
 
     # -- declarations --------------------------------------------------
 
@@ -732,22 +717,18 @@ class Registry:
     # -- simplification ------------------------------------------------
 
     def simplify(self, expr: TensorExpr) -> SimplifyResult:
-        """Canonical and shortest forms.  The input is projected onto coset
-        minima, then onto orbit minima, and sieved through the basis of
-        the multiterm relations closed over its orbits.  The forms met are the input, the two
-        projections and each elimination step; shortest is the one with
-        the fewest terms, the earliest on ties."""
+        """Canonical and shortest forms: the input, on coset minima as
+        `normalize` writes it, projected onto orbit minima and sieved
+        through the multiterm basis closed over its orbits.  The forms met
+        are the input, its projection and each elimination step; shortest
+        is the one with the fewest terms, the earliest on ties."""
         h = expr.header
-        p = h.npairs
         self._check_cosets(h)
         closure = self._header_closure(h)
-        cosets = project(expr.vec, p)
-        v = orbit_project(cosets, closure.table)
+        v = orbit_project(expr.vec, closure.table)
         closure.close(q for _, q in v.terms)
         canonical, shortest = closure.basis.sieve_trace(v)
-        for form in (cosets, expr.vec):
-            if len(form) <= len(shortest):
-                shortest = form
+        shortest = min(expr.vec, shortest, key=len)     # the input on ties
         return SimplifyResult(TensorExpr(h, canonical),
                               TensorExpr(h, shortest), closure)
 

@@ -18,6 +18,10 @@ RELATIONS = {
     "ri": ["ri(i,j,k,l)+ri(j,i,k,l)", "ri(i,j,k,l)+ri(i,j,l,k)",
            "ri(i,j,k,l)+ri(i,k,l,j)+ri(i,l,j,k)"],
 }
+# multiterm tensors other than ri: a cyclic identity alone, and the
+# mixed (Young) symmetry of a tensor symmetric in its first two slots
+MULTITERM = {"c3": ["c3(i,j,k)+c3(j,k,i)+c3(k,i,j)"],
+             "y3": ["y3(i,j,k)-y3(j,i,k)", "y3(i,j,k)+y3(j,k,i)+y3(k,i,j)"]}
 
 
 def raw_terms(text: str):

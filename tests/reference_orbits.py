@@ -1,13 +1,18 @@
 """`signed_orbits` as it was before orbit tables were filled on demand,
 kept as a test-only reference: it walks every coset minimum, in ascending
 order, with every generator.  `_orbit` and `coset_minimum` are the copies
-it called then.
+it called then.  `project` is the projection onto coset minima that
+`Registry.simplify` made before `orbit_project` took each term's coset
+minimum itself, the terms of a normalized expression being on theirs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from tensorcanon import galg
+from tensorcanon.galg import GroupVector
 from tensorcanon.texpr import Generator
 
 
@@ -57,3 +62,16 @@ def coset_minimum(m: tuple, lead: int) -> tuple:
     pairs = sorted([(a, b) if a < b else (b, a)
                     for a, b in zip(m[0:lead:2], m[1:lead:2])])
     return sum(pairs, ()) + m[lead:]
+
+
+def project(v: GroupVector, npairs: int) -> GroupVector:
+    """Map every term onto its coset minimum, adding coefficients: the
+    sieve through the renaming relations of npairs dummy pairs."""
+    if not npairs:
+        return v
+    lead = 2 * npairs
+    acc: dict[tuple[int, ...], int | Fraction] = {}
+    for c, p in v.terms:
+        k = coset_minimum(p, lead)
+        acc[k] = acc.get(k, 0) + c
+    return galg.from_dict(v.degree, acc)

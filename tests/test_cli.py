@@ -58,6 +58,17 @@ class TestSession:
         assert out.strip() == "(-1)*a2(i,j)"
         assert err == ""
 
+    def test_notes_go_to_stderr_alone(self):
+        # a registry with a diagnostic sink keeps no copy of its notes
+        out, err = io.StringIO(), io.StringIO()
+        s = Session(out=out, err=err)
+        assert s.run_text("tensor a2, a2; tclear b; a2(i,i,i,j);") == 0
+        assert err.getvalue() == (
+            "+++ a2 is already declared as tensor.\n+++ b is not a tensor.\n"
+            "+++ index i appears more than twice; extra occurrences are kept"
+            " free\n")
+        assert s.registry.messages == []
+
     def test_kbasis_output(self):
         _, out, _ = run_session(SETUP + "kbasis a2;")
         lines = out.strip().split("\n")
@@ -491,6 +502,24 @@ class TestArgv:
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("***** ")
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["--json"], "--json"),
+        (["--output", "basis.txt"], "--output"),
+        (["--output=basis.txt", "--json"], "--json and --output"),
+        (["--json", "--export-basis", "a2", "--export-basis="],
+         "--json"),
+    ])
+    def test_export_options_need_export_basis(self, argv, flags, tmp_path,
+                                              monkeypatch):
+        # refused before any input is read
+        monkeypatch.chdir(tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.StringIO(SETUP + "a2(j,i);")
+        assert cli.run(argv, stdin=stdin, stdout=out, stderr=err) == 1
+        assert err.getvalue() == f"***** --export-basis is needed for {flags}\n"
+        assert out.getvalue() == "" and stdin.tell() == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_abbreviations(self, tmp_path):
         # argparse took --scr for --script; only exact names are flags

@@ -29,13 +29,14 @@ from tensorcanon.cli import Session
 from tensorcanon.kbasis import KBasis
 from tensorcanon.texpr import (DegreeLimitError, OrbitTable, Registry,
                                TensorHeader, coset_minimum, coset_reps,
-                               monoterm_data, orbit_project, project)
+                               monoterm_data, orbit_project)
 
-from conftest import (RELATIONS, check_reduced, make_registry,
+from conftest import (MULTITERM, RELATIONS, check_reduced, make_registry,
                       random_vector, raw_terms)
 import reference_monoterm
 import reference_orbits
 import reference_quotient
+from reference_orbits import project
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_SCRIPT = (ROOT / "scripts" / "golden_session.tsc").read_text()
@@ -700,12 +701,6 @@ class TestOrbitTable:
         assert reg.simplify(te) == res
 
 
-# multiterm tensors other than ri: a cyclic identity alone, and the
-# mixed (Young) symmetry of a tensor symmetric in its first two slots
-MULTITERM = {"c3": ["c3(i,j,k)+c3(j,k,i)+c3(k,i,j)"],
-             "y3": ["y3(i,j,k)-y3(j,i,k)", "y3(i,j,k)+y3(j,k,i)+y3(k,i,j)"]}
-
-
 class TestClosure:
     """The closure of the multiterm relations over the orbits they reach
     from the input, against the listing of every coset minimum that it
@@ -737,6 +732,8 @@ class TestClosure:
                 refs[key] = self.reference(reg, h)
             table, b, dim = refs[key]
             res = simplify(te)
+            # the rule before simplify dropped its coset projection: the
+            # coset form is met between the input and the orbit form
             cosets = project(te.vec, p)
             canonical, shortest = b.sieve_trace(
                 orbit_project(cosets, table))

@@ -7,13 +7,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tensorcanon import frontend, galg, oracle, texpr
 from tensorcanon.texpr import (DegreeLimitError, Registry, TensorError,
-                               coset_reps, estimate_memory)
+                               TensorExpr, coset_reps, estimate_memory)
 
-from conftest import make_registry, raw_terms
+from conftest import MULTITERM, RELATIONS, make_registry, raw_terms
 import reference_normalize
+import reference_orbits
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -441,6 +443,93 @@ class TestExpressionBasisAndSimplify:
         x, y = (reg.normalize(raw_terms(t))
                 for t in ("a2(m,m)*v1(i)", "a2(n,n)*v1(i)"))
         assert reg.equal(x, y)
+
+
+COSET_ARITY = {"a2": 2, "s2": 2, "a3": 3, "s3": 3, "ri": 4, "c3": 3, "y3": 3}
+
+
+@pytest.fixture(scope="class")
+def coset_registry():
+    reg = make_registry(*RELATIONS)
+    for name, rels in MULTITERM.items():
+        reg.declare(name)
+        for rel in rels:
+            reg.declare_symmetry(raw_terms(rel))
+    return reg
+
+
+@st.composite
+def coset_inputs(draw):
+    """A product of 1-3 factors, identical ones in either order, over 2-8
+    index names, so that names recur and some a third time; then the same
+    factors in another order with another coefficient."""
+    facs = draw(st.lists(st.sampled_from(sorted(COSET_ARITY)), min_size=1,
+                         max_size=3))
+    names = "abcdefgh"[:draw(st.integers(2, 8))]
+    term = [(f, tuple(draw(st.sampled_from(names))
+                      for _ in range(COSET_ARITY[f]))) for f in facs]
+    other = draw(st.permutations(term))
+    return [(draw(st.sampled_from((1, -2, 3))), tuple(term)),
+            (draw(st.sampled_from((1, -1, 2))), tuple(other))]
+
+
+class TestCosetMinima:
+    """`normalize` writes every term on its coset minimum: pair k in slots
+    2k-1, 2k, its pairs numbered by first occurrence, so each pair is
+    ascending and the pairs ascend by first member.  `simplify` still maps
+    a term off its coset minimum onto it, so a hand-built vector keeps its
+    canonical form."""
+
+    @staticmethod
+    def on_minima(te):
+        lead = 2 * te.header.npairs
+        return all(reference_orbits.coset_minimum(m, lead) == m
+                   for _, m in te.vec.terms)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(coset_inputs())
+    def test_normalize_and_equal_give_coset_minima(self, coset_registry,
+                                                    terms):
+        reg = coset_registry
+        try:
+            both = reg.normalize(terms)
+            second = reg.normalize(terms[1:])
+        except DegreeLimitError:
+            assume(False)
+        assert self.on_minima(both) and self.on_minima(second)
+        seen = []
+
+        def simplify(te):
+            seen.append(te)
+            return Registry.simplify(reg, te)
+        reg.simplify = simplify
+        try:
+            reg.equal(both, second)
+        finally:
+            del reg.simplify
+        assert len(seen) == 1 and self.on_minima(seen[0])
+
+    def test_hand_built_vector_off_its_minima(self):
+        # each term renamed on the right: every pair's two slots swapped
+        # and the pairs in reverse order; t2 and w2 have no symmetry, so
+        # an orbit walk from a term off its coset minimum never reaches it
+        reg = make_registry("ri", "a2", "t2", "w2")
+        for text in ("ri(a,b,c,d)*ri(a,c,b,d)", "ri(m,c,n,d)*ri(m,n,e,f)",
+                     "ri(a,b,c,d)*ri(a,e,f,g) - 2*ri(a,e,b,f)*ri(a,c,d,g)",
+                     "ri(a,c,e,g)*ri(a,b,d,f) + 2*ri(a,e,b,f)*ri(a,c,d,g)",
+                     "a2(m,n)*ri(m,n,a,b) + a2(a,m)*ri(m,b,n,n)",
+                     "t2(m,n)*w2(n,m) + 2*t2(n,m)*w2(m,n)",
+                     "t2(a,m)*w2(n,b)*t2(m,n)"):
+            te = reg.normalize(raw_terms(text))
+            p = te.header.npairs
+            off = galg.GroupVector(te.header.degree, [
+                (c, m[2 * p - 1::-1] + m[2 * p:]) for c, m in te.vec.terms])
+            assert off != te.vec, text
+            twin = reference_orbits.project(off, p)
+            assert twin == te.vec, text
+            got = reg.simplify(TensorExpr(te.header, off)).canonical
+            assert got == reg.simplify(TensorExpr(te.header, twin)).canonical
 
 
 class TestValueClasses:
