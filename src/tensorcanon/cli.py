@@ -162,8 +162,8 @@ FLAGS = {
 
 def parse_argv(argv) -> dict:
     """Flag values by attribute from `--name value` or `--name=value`; the
-    last one wins, a value is verbatim, and a bad argument, or `--json` or
-    `--output` without `--export-basis`, is a ValueError."""
+    last one wins, a value is verbatim and not empty, and a bad argument, or
+    `--json` or `--output` without `--export-basis`, is a ValueError."""
     args = {attr: None for attr, *_ in FLAGS.values()}
     args["max_rank"] = 8
     argv = iter(argv)
@@ -173,15 +173,16 @@ def parse_argv(argv) -> dict:
             raise ValueError(f"unrecognized argument: {arg} (see --help)")
         attr, kind = FLAGS[name][:2]
         if not (eq or kind is None):
-            value = next(argv, None)
-        if value is None or (eq and kind is None):
-            raise ValueError(f"{name} {'takes no' if eq else 'needs a'} value")
+            value = next(argv, "")
+        if eq if kind is None else not value:
+            raise ValueError(
+                f"{name} {'needs a' if kind else 'takes no'} value")
         try:
             args[attr] = True if kind is None else kind(value)
         except ValueError:
             raise ValueError(f"{name} needs an integer: {value!r}") from None
     stray = [f for f in ("--json", "--output") if args[f[2:]] is not None]
-    if stray and not args["export_basis"]:
+    if stray and args["export_basis"] is None:
         raise ValueError(f"--export-basis is needed for {' and '.join(stray)}")
     return args
 
@@ -191,56 +192,47 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     try:
         args = parse_argv(sys.argv[1:] if argv is None else argv)
-    except ValueError as e:
-        print(f"***** {e}", file=err)
-        return 1
-    if args["help"]:
-        out.write("usage: tensorcanon [options]\n\nCanonicalize indexed"
-                  " expressions under tensor symmetries.\n\noptions:\n"
-                  + "".join(f"  {flag} {metavar}".ljust(23) + f"{text}\n"
-                            for flag, (_, _, metavar, text) in FLAGS.items()))
-        return 0
-    if args["memtable"] is not None:
-        try:
+        if args["help"]:
+            out.write("usage: tensorcanon [options]\n\nCanonicalize indexed"
+                      " expressions under tensor symmetries.\n\noptions:\n"
+                      + "".join(f"  {flag} {metavar}".ljust(23) + f"{text}\n"
+                                for flag, (_, _, metavar, text)
+                                in FLAGS.items()))
+            return 0
+        if args["memtable"] is not None:
             out.write(memtable(args["memtable"]))
-        except ValueError as e:
-            print(f"***** {e}", file=err)
-            return 1
-        return 0
-    if args["max_rank"] < 1:
-        print("***** --max-rank must be at least 1", file=err)
-        return 1
-    session = Session(out=out, err=err, max_rank=args["max_rank"],
-                      echo=bool(args["script"]), auto_time=args["auto_time"])
-    # input is UTF-8 in any locale: the real stdin is read as bytes;
-    # UnicodeDecodeError is a ValueError, not an OSError
-    try:
-        if args["script"]:
+            return 0
+        if args["max_rank"] < 1:
+            raise ValueError("--max-rank must be at least 1")
+        # input is UTF-8 in any locale: the real stdin is read as bytes;
+        # UnicodeDecodeError is a ValueError
+        if args["script"] is not None:
             with open(args["script"], encoding="utf-8") as fh:
                 text = fh.read()
         else:
             text = (stdin if stdin is not None
                     else getattr(sys.stdin, "buffer", sys.stdin)).read()
             text = text.decode("utf-8") if type(text) is bytes else text
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(f"***** {e}", file=err)
         return 1
+    session = Session(out=out, err=err, max_rank=args["max_rank"],
+                      echo=args["script"] is not None,
+                      auto_time=args["auto_time"])
+    # an engine fault in the run is no refusal: it raises
     status = session.run_text(text)
-    if args["export_basis"]:
-        try:
-            dump = export_basis(session, args["export_basis"], args["json"])
-        except (ParseError, TensorError) as e:
-            print(f"***** {e}", file=err)
-            return 1
-        if args["output"]:
-            try:
-                with open(args["output"], "w", encoding="utf-8") as fh:
-                    fh.write(dump)
-            except OSError as e:
-                print(f"***** {e}", file=err)
-                return 1
-        else:
+    if args["export_basis"] is None:
+        return status
+    try:
+        dump = export_basis(session, args["export_basis"], args["json"])
+        if args["output"] is None:
             out.write(dump)
+        else:
+            with open(args["output"], "w", encoding="utf-8") as fh:
+                fh.write(dump)
+    except (OSError, ParseError, TensorError) as e:
+        print(f"***** {e}", file=err)
+        return 1
     return status
 
 

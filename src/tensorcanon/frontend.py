@@ -42,7 +42,6 @@ from functools import reduce as _reduce
 from math import lcm
 
 from .galg import GroupVector
-from .perm import apply as papply, inverse
 from .texpr import Record, TensorError, TensorExpr, TensorHeader
 
 # A parsed factor is (name, indices), or (name,) for a bound name.
@@ -450,7 +449,8 @@ def format_vector(vec: GroupVector, factors, slot_names) -> str:
     parts = []
     for c, p in vec.terms:
         c = (c * den).numerator
-        arranged = papply(inverse(p), slot_names)
+        # the name of slot i goes to position p[i]
+        arranged = [x for _, x in sorted(zip(p, slot_names))]
         pieces = []
         off = 0
         for fname, arity in factors:

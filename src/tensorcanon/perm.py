@@ -7,10 +7,6 @@ from outside the engine; the maps the engine builds are not checked.
 Composition convention, used everywhere in this package:
 
     multiply(p, q)[i] = p[q[i]]      (q acts first)
-
-and the action on sequences is slot selection:
-
-    apply(p, l)[i] = l[p[i]]
 """
 
 from __future__ import annotations
@@ -40,19 +36,3 @@ def multiply(p: tuple, q: tuple) -> tuple[int, ...]:
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} != {len(q)}")
     return tuple([p[j - 1] for j in q])
-
-
-def inverse(p: tuple) -> tuple[int, ...]:
-    """The x with multiply(x, p) = identity."""
-    r = [0] * len(p)
-    for i, v in enumerate(p):
-        r[v - 1] = i + 1
-    return tuple(r)
-
-
-def apply(p: tuple, l: Sequence) -> tuple:
-    """Rearrange l by slot selection: result[i] = l[p[i]]."""
-    if len(l) != len(p):
-        raise ValueError(f"sequence length {len(l)} != degree {len(p)}")
-    return tuple(l[i - 1] for i in p)
-

@@ -749,7 +749,7 @@ def _term_map(keys: Sequence, where: dict) -> tuple[int, ...]:
     `where` giving each reference key its 0-based slot; the keys are
     distinct, and one that is not a reference slot raises KeyError.
 
-    With sigma the selection with keys = apply(sigma, ref), the term's
+    With sigma the selection with keys[i] = ref[sigma[i]], the term's
     permutation is sigma^{-1}; symmetry relations then close under right
     translation and dummy renamings act by right factors.
     """

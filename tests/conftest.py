@@ -1,5 +1,5 @@
-"""Shared fixtures: scenario registries, random vector generation and a
-parity oracle."""
+"""Shared fixtures: scenario registries, random vector generation, the
+inverse of a permutation and a parity oracle."""
 
 from fractions import Fraction
 import random
@@ -60,6 +60,14 @@ def check_reduced(b) -> bool:
         if galg.leading(row)[1] != key:
             return False
     return b._cols is None or b._cols == b._index()
+
+
+def inverse(p: tuple) -> tuple[int, ...]:
+    """The x with multiply(x, p) = identity."""
+    r = [0] * len(p)
+    for i, v in enumerate(p):
+        r[v - 1] = i + 1
+    return tuple(r)
 
 
 def inversion_sign(p: tuple) -> int:

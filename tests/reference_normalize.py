@@ -13,6 +13,8 @@ from typing import Sequence
 from tensorcanon import galg, perm
 from tensorcanon.texpr import RawTerm, TensorError, TensorExpr, TensorHeader
 
+from conftest import inverse
+
 
 def normalize(self, terms: Sequence[RawTerm]) -> TensorExpr:
     """Canonical factor order, dummy detection and the shared header.
@@ -85,7 +87,7 @@ def normalize(self, terms: Sequence[RawTerm]) -> TensorExpr:
 def _term_perm(keys: Sequence, ref: Sequence) -> tuple:
     """Permutation of a term relative to the reference slot list.
 
-    With sigma the selection with keys = apply(sigma, ref), the term's
+    With sigma the selection with keys[i] = ref[sigma[i]], the term's
     permutation is sigma^{-1}; symmetry relations then close under right
     translation and dummy renamings act by right factors.
     """
@@ -97,4 +99,4 @@ def _term_perm(keys: Sequence, ref: Sequence) -> tuple:
     except KeyError as e:
         raise TensorError(f"index {e.args[0]!r} not present in the reference"
                           " slots") from None
-    return perm.inverse(perm.check(sigma))
+    return inverse(perm.check(sigma))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,10 @@ import pytest
 
 from tensorcanon import cli, frontend
 from tensorcanon.cli import Session
+from tensorcanon.texpr import Registry
+
+from conftest import RELATIONS
+from test_frontend import mutate, random_script
 
 
 def run_session(text, **kw):
@@ -490,7 +495,7 @@ class TestArgv:
         ["--bogus"], ["script.tsc"], ["--script"], ["--max-rank"],
         ["--max-rank", "x"], ["--max-rank=1.5"], ["--memtable", ""],
         ["--json=yes"], ["--time=1"], ["--help=1"], ["--max", "3"], ["-x"],
-        ["--"],
+        ["--"], ["--export-basis="], ["--output", ""],
     ])
     def test_bad_argument(self, argv):
         # one ***** line on the given stderr and status 1, where argparse
@@ -507,17 +512,34 @@ class TestArgv:
         (["--json"], "--json"),
         (["--output", "basis.txt"], "--output"),
         (["--output=basis.txt", "--json"], "--json and --output"),
-        (["--json", "--export-basis", "a2", "--export-basis="],
-         "--json"),
     ])
     def test_export_options_need_export_basis(self, argv, flags, tmp_path,
                                               monkeypatch):
         # refused before any input is read
+        self.assert_refused_before_input(
+            argv, f"--export-basis is needed for {flags}", tmp_path,
+            monkeypatch)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--json", "--export-basis", "a2", "--export-basis="],
+         "--export-basis"),
+        (["--export-basis", "a2", "--output="], "--output"),
+        (["--script="], "--script"),
+        (["--max-rank="], "--max-rank"),
+        (["--memtable", ""], "--memtable"),
+    ])
+    def test_empty_value_is_refused(self, argv, flag, tmp_path, monkeypatch):
+        # an empty value is refused as a missing one is, before any input
+        # is read; `--export-basis=` does not read as "no export"
+        self.assert_refused_before_input(argv, f"{flag} needs a value",
+                                         tmp_path, monkeypatch)
+
+    def assert_refused_before_input(self, argv, diag, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out, err = io.StringIO(), io.StringIO()
         stdin = io.StringIO(SETUP + "a2(j,i);")
         assert cli.run(argv, stdin=stdin, stdout=out, stderr=err) == 1
-        assert err.getvalue() == f"***** --export-basis is needed for {flags}\n"
+        assert err.getvalue() == f"***** {diag}\n"
         assert out.getvalue() == "" and stdin.tell() == 0
         assert list(tmp_path.iterdir()) == []
 
@@ -602,3 +624,42 @@ class TestRefusalLeavesRegistry:
                                     " the same index names\n")
         assert out.split("\n")[0] == "u(b,a,c) + (-1)*u(a,b,c)"
         assert out.endswith("\n3\n")
+
+
+class TestOutcomes:
+    """Every script through `cli.run` ends as its output with status 0 or
+    with `*****` lines and status 1; an engine fault is no refusal."""
+
+    PRELUDE = "tensor a2, s2, ri;\n" + "".join(
+        f"tsym {', '.join(RELATIONS[name])};\n" for name in ("a2", "s2", "ri"))
+
+    def test_random_scripts(self):
+        rng = random.Random(2810)
+        accepted = 0
+        for k in range(300):
+            text = random_script(rng)
+            if k % 2:
+                text = mutate(rng, text)
+            err = io.StringIO()
+            status = cli.run([], stdin=io.StringIO(self.PRELUDE + text),
+                             stdout=io.StringIO(), stderr=err)
+            lines = err.getvalue().splitlines()
+            refused = any(line.startswith("*****") for line in lines)
+            assert (status, refused) in ((0, False), (1, True)), text
+            assert all(line.startswith(("*****", "+++")) for line in lines), \
+                text
+            accepted += status == 0
+        # both outcomes occur
+        assert 0 < accepted < 300
+
+    def test_engine_fault_raises(self, monkeypatch):
+        # run_text is outside both refusal handlers of cli.run
+        def fault(self, expr):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr(Registry, "simplify", fault)
+        err = io.StringIO()
+        with pytest.raises(ValueError, match="engine fault"):
+            cli.run([], stdin=io.StringIO("tensor a2; a2(i,j);"),
+                    stdout=io.StringIO(), stderr=err)
+        assert "*****" not in err.getvalue()

@@ -270,6 +270,12 @@ class TestPrinting:
         out = frontend.format_vector(v, (("a2", 2),), header_names)
         assert out == "a2(j,i)"
 
+    def test_format_vector_places_slot_names_by_the_map(self):
+        # the name of slot i goes to position p[i]
+        v = galg.unit((2, 3, 1))
+        out = frontend.format_vector(v, (("t", 3),), ["i", "j", "k"])
+        assert out == "t(k,i,j)"
+
     def test_default_names(self):
         assert frontend.default_names(3) == ("i", "j", "k")
         assert frontend.default_names(15)[0] == "x1"

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from tensorcanon import galg, perm
 from tensorcanon.galg import GroupVector
 
-from conftest import random_vector
+from conftest import inverse, random_vector
 
 
 def vectors(n=3):
@@ -121,7 +121,7 @@ class TestTranslate:
     def test_translations_invertible(self, v):
         p = (2, 3, 1)
         assert galg.translate_right(
-            galg.translate_right(v, p), perm.inverse(p)) == v
+            galg.translate_right(v, p), inverse(p)) == v
 
 
 class TestLeading:

@@ -1,5 +1,5 @@
-"""Permutation arithmetic: validation, composition convention, inverses,
-slot selection."""
+"""Permutation arithmetic: validation, composition convention, and the
+test-only inverse in conftest."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,16 +8,13 @@ from tensorcanon import perm
 from tensorcanon.galg import unit
 from tensorcanon.kbasis import KBasis
 
+from conftest import inverse
+
 
 def perms(max_degree=6):
     return (st.integers(1, max_degree)
             .flatmap(lambda n: st.permutations(list(range(1, n + 1))))
             .map(perm.check))
-
-
-def all_of(n):
-    from itertools import permutations
-    return [perm.check(m) for m in permutations(range(1, n + 1))]
 
 
 class TestConstruction:
@@ -79,35 +76,10 @@ class TestMultiply:
         assert (perm.multiply(perm.multiply(p, q), r)
                 == perm.multiply(p, perm.multiply(q, r)))
 
-    @given(perms())
-    def test_apply_composes_contravariantly(self, p):
-        # apply(multiply(p,q), l) = apply(q, apply(p, l))
-        n = len(p)
-        for q in all_of(min(n, 3)) if n <= 3 else [perm.inverse(p)]:
-            if len(q) != n:
-                continue
-            l = tuple(f"x{i}" for i in range(n))
-            assert (perm.apply(perm.multiply(p, q), l)
-                    == perm.apply(q, perm.apply(p, l)))
-
 
 class TestInverseDivide:
     @given(perms())
     def test_inverse(self, p):
         e = perm.identity(len(p))
-        assert perm.multiply(p, perm.inverse(p)) == e
-        assert perm.multiply(perm.inverse(p), p) == e
-
-
-class TestApply:
-    def test_identity(self):
-        assert perm.apply(perm.identity(3), ("a", "b", "c")) == ("a", "b", "c")
-
-    def test_selection(self):
-        # result[i] = l[p[i]]
-        assert perm.apply((3, 1, 2), ("a", "b", "c")) == ("c", "a", "b")
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            perm.apply((1, 2), ("a",))
-
+        assert perm.multiply(p, inverse(p)) == e
+        assert perm.multiply(inverse(p), p) == e
