@@ -35,6 +35,9 @@ class GroupVector:
     def __len__(self):
         return len(self.terms)
 
+    def __iter__(self):
+        return iter(self.terms)
+
     def __eq__(self, other):
         return (isinstance(other, GroupVector)
                 and self.degree == other.degree and self.terms == other.terms)
@@ -123,12 +126,16 @@ def renorm(v: GroupVector) -> GroupVector:
     """Scale to coprime integer coefficients with positive leading term.
 
     Fractions are first cleared to a common denominator; the result's
-    coefficients are ints.  The zero vector passes through unchanged.
+    coefficients are ints.  A renormed or zero vector is returned as it is.
     """
     if not v.terms:
         return v
-    den = lcm(*[c.denominator for c, _ in v.terms])
-    nums = [c.numerator * (den // c.denominator) for c, _ in v.terms]
+    nums = [c for c, _ in v.terms]
+    if any(type(c) is not int for c in nums):
+        den = lcm(*[c.denominator for c in nums])
+        nums = [c.numerator * (den // c.denominator) for c in nums]
+    elif nums[0] > 0 and gcd(*nums) == 1:
+        return v
     g = gcd(*nums)
     if nums[0] < 0:
         g = -g

@@ -18,8 +18,9 @@ The sieve eliminates the input's pivot terms one at a time, in descending
 permutation order.  The input and the result of each step are the forms
 along the way; sieve_trace also returns the one with the fewest terms,
 the earliest on ties.  A step subtracts c/pc times the row (c and pc the
-pivot's coefficients), c itself if pc is 1, else a Fraction.  An insert
-reduces a row fraction-free, to the renorm of pc*row - c*v.
+pivot's coefficients), c itself if pc is 1, else a Fraction.  A build
+sieves a relation's terms in their own order, to the same residue.  An
+insert reduces a row fraction-free, in one pass, to the renorm of pc*row - c*v.
 """
 
 from __future__ import annotations
@@ -64,30 +65,29 @@ class KBasis:
 
     def sieve(self, v: GroupVector) -> GroupVector:
         """The canonical representative of v: every pivot eliminated."""
-        return self._eliminate(v, False)[0]
+        return self.sieve_trace(v)[0]
 
     def sieve_trace(self, v: GroupVector) -> tuple[GroupVector, GroupVector]:
         """Like sieve, but also return the fewest-term intermediate form."""
-        return self._eliminate(v, True)
-
-    def _eliminate(self, v: GroupVector,
-                   trace: bool) -> tuple[GroupVector, GroupVector]:
-        """One descending pass over v's terms, eliminating each pivot.
-
-        Rows are fully reduced, so no step brings in a pivot or changes
-        the coefficient of a later one.  Returns the canonical form and,
-        with `trace`, the fewest-term form (else the canonical again).
-        """
         if v.degree != self.degree:
             raise ValueError(f"degree mismatch: {v.degree} != {self.degree}")
+        acc, best = self._eliminate(v.terms, True)
+        return self._vector(acc), v if best is None else self._vector(best)
+
+    def _eliminate(self, terms, trace: bool) -> tuple[dict, dict | None]:
+        """The {map: coefficient} of `terms` with each pivot among them
+        eliminated in their order and, with `trace`, the first fewest-term
+        form along the way (else None).
+
+        Rows are fully reduced, so no step brings in a pivot or changes
+        the coefficient of a later one, and any order gives the same acc.
+        """
         rows = self._rows
-        acc = {p: c for c, p in v.terms}
+        acc = {p: c for c, p in terms}
         best, fewest = None, len(acc)
-        for c, p in v.terms:
-            row = rows.get(p)
-            if row is None:
-                continue
-            del acc[p]
+        for p in [p for p in acc if p in rows]:
+            c = acc.pop(p)
+            row = rows[p]
             pc = row.terms[0][0]
             ratio = c if pc == 1 else Fraction(c, pc)
             for rc, rp in row.terms[1:]:
@@ -98,10 +98,7 @@ class KBasis:
                     acc.pop(rp, None)
             if trace and len(acc) < fewest:
                 best, fewest = dict(acc), len(acc)
-        canonical = self._vector(acc)
-        if not trace:
-            return canonical, canonical
-        return canonical, v if best is None else self._vector(best)
+        return acc, best
 
     def _vector(self, acc: dict) -> GroupVector:
         terms = tuple((acc[p], p) for p in sorted(acc, reverse=True))
@@ -109,34 +106,41 @@ class KBasis:
 
     def insert(self, v: GroupVector):
         """Renorm v, add it as a row and reduce by it the rows that carry
-        its pivot, found through the column index."""
+        its pivot, found through the column index.  A v that carries a
+        row's pivot would leave the basis unreduced and is refused."""
         if v.is_zero():
             raise ValueError("cannot insert the zero vector")
         v = galg.renorm(v)
-        pc, key = galg.leading(v)
-        if key in self._rows:
-            raise PivotCollisionError(f"pivot {key} already present (missed sieve?)")
+        pc, key = v.terms[0]
+        if len(key) != self.degree:
+            raise ValueError(f"degree mismatch: {len(key)} != {self.degree}")
+        rows = self._rows
+        hit = next((p for _, p in v.terms if p in rows), None)
+        if hit is not None:
+            raise PivotCollisionError(f"pivot {hit} already present (missed sieve?)")
         if self._cols is None:
             self._cols = self._index()
         cols = self._cols
+        rest = v.terms[1:]
         for rkey in cols.pop(key, ()):
-            row = self._rows[rkey]
-            c = next(rc for rc, rp in row.terms if rp == key)
-            new = galg.renorm(galg.add(galg.scale(pc, row),
-                                       galg.scale(-c, v)))
-            self._rows[rkey] = new
-            old = {p for _, p in row.terms[1:]}
-            now = {p for _, p in new.terms[1:]}
-            for k in old - now - {key}:
-                carriers = cols[k]
-                carriers.discard(rkey)
-                if not carriers:
-                    del cols[k]
-            for k in now - old:
-                cols.setdefault(k, set()).add(rkey)
-        for _, p in v.terms[1:]:
+            # pc*row - c*v: the pivot cancels, only v's maps enter or leave
+            acc = {p: pc * rc for rc, p in rows[rkey].terms}
+            c = acc.pop(key) // pc
+            for vc, p in rest:
+                x = acc.get(p, 0) - c * vc
+                carriers = cols.setdefault(p, set())
+                if x:
+                    acc[p] = x
+                    carriers.add(rkey)
+                else:
+                    del acc[p]
+                    carriers.discard(rkey)
+                    if not carriers:
+                        del cols[p]
+            rows[rkey] = galg.renorm(self._vector(acc))
+        for _, p in rest:
             cols.setdefault(p, set()).add(key)
-        self._rows[key] = v
+        rows[key] = v
 
     def _index(self) -> dict[tuple[int, ...], set]:
         """The column index of the current rows."""
@@ -146,12 +150,14 @@ class KBasis:
                 cols.setdefault(p, set()).add(key)
         return cols
 
-    def build(self, relations: Iterable[GroupVector]) -> "KBasis":
-        """Sieve each relation and insert the nonzero residues.  Returns self."""
+    def build(self, relations: Iterable) -> "KBasis":
+        """Insert the nonzero residue of each relation, an iterable of
+        (coefficient, map) terms with distinct maps such as a GroupVector,
+        its pivots eliminated in the terms' order.  Returns self."""
         for rel in relations:
-            s = self.sieve(rel)
-            if not s.is_zero():
-                self.insert(s)
+            acc = self._eliminate(rel, False)[0]
+            if acc:
+                self.insert(self._vector(acc))
         return self
 
     # -- export --------------------------------------------------------

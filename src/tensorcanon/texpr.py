@@ -221,6 +221,11 @@ def monoterm_data(b: KBasis) -> tuple[list[Generator], list[GroupVector]]:
     return gens, KBasis(a).build(orbit_project(r, table) for r in rest).rows
 
 
+def _reader(x: tuple) -> Callable[[Sequence], tuple]:
+    """itemgetter(*x), which gives a tuple also for one index."""
+    return itemgetter(*x) if len(x) > 1 else lambda g, v=x[0]: (g[v],)
+
+
 def _orbit(root: tuple, gens: Sequence[Generator],
            lead: int) -> tuple[dict[tuple, int], bool]:
     """The signed orbit of the coset minimum root: each member x with the
@@ -233,8 +238,7 @@ def _orbit(root: tuple, gens: Sequence[Generator],
     zero = False
     for x in queue:
         sx = sign[x]
-        # g*x is (g[x[0]], ...); itemgetter of one index gives no tuple
-        act = itemgetter(*x) if len(x) > 1 else lambda g, v=x[0]: (g[v],)
+        act = _reader(x)   # g*x is (g[x[0]], ...)
         for g, s in gens:
             y = act(g)
             if lead:
@@ -512,12 +516,13 @@ class Registry:
         tensor.arity = n
         if tensor.display is None:
             tensor.display = tuple(ref)
-        g = galg.from_dict(n, acc)
-        if g.is_zero():
+        terms = [(c, (0,) + q) for q, c in acc.items() if c]
+        if not terms:
             return
-        b = tensor.k0_basis()
-        b.build(galg.translate_right(g, rho) for rho in coset_reps(n, 0))
-        tensor.store_k0(b)
+        # the translate by rho has the maps q*rho, (0,)+q read at rho
+        tensor.store_k0(tensor.k0_basis().build(
+            [(c, act(q)) for c, q in terms]
+            for act in map(_reader, coset_reps(n, 0))))
         self._memo.clear()
 
     # -- expression construction ---------------------------------------

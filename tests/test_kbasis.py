@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from tensorcanon import galg, perm
 from tensorcanon.kbasis import KBasis, PivotCollisionError
 from tensorcanon.texpr import coset_reps
 
 from conftest import check_reduced, inversion_sign, random_vector
+from reference_kbasis import ReferenceKBasis
 
 
 def sign_relations(n):
@@ -126,6 +128,23 @@ class TestInsert:
         with pytest.raises(PivotCollisionError):
             b.insert(galg.unit((2, 1), 5))
 
+    def test_unsieved_vector_carrying_a_pivot(self):
+        # e21 + e12 carries the pivot of the row e12; as a row it would
+        # leave the basis unreduced, and sieve(e21) would give -e12
+        b = KBasis(2)
+        b.insert(galg.unit((1, 2)))
+        with pytest.raises(PivotCollisionError):
+            b.insert(galg.add(galg.unit((2, 1)), galg.unit((1, 2))))
+        assert b.dim() == 1 and check_reduced(b)
+        b.insert(galg.unit((2, 1)))
+        assert b.sieve(galg.unit((2, 1))).is_zero()
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError):
+            KBasis(3).insert(galg.unit((2, 1)))
+        with pytest.raises(ValueError):
+            KBasis(3).build([[(1, (2, 1))]])
+
     def test_rearranges_existing_rows(self):
         # an older row holding the new pivot gets reduced on insert
         b = KBasis(3)
@@ -156,6 +175,55 @@ class TestBuild:
     def test_generator_input(self):
         b = KBasis(3).build(r for r in sign_relations(3))
         assert b.dim() == 5
+
+
+@st.composite
+def relation_sets(draw):
+    """A degree 2-5 and 1-10 relations over a pool of at most 8 maps, so
+    that they overlap, each {map: coefficient} of up to 4 terms with
+    coefficients +-1, +-2 and +-3, so that rows get pivots other than 1
+    and sieve steps divide into Fractions."""
+    n = draw(st.integers(2, 5))
+    pool = draw(st.lists(st.sampled_from(list(coset_reps(n, 0))),
+                         min_size=2, max_size=8, unique=True))
+    relation = st.dictionaries(st.sampled_from(pool),
+                               st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                               min_size=1, max_size=4)
+    return n, draw(st.lists(relation, min_size=1, max_size=10))
+
+
+class TestBuildDifferential:
+    """`build` takes each relation as its terms in any order and reduces a
+    carrier row in one pass; the rows, their order and their int
+    coefficients must be those of the sieve-then-insert reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(relation_sets(), st.randoms(use_true_random=False))
+    def test_matches_reference(self, case, rng):
+        n, rels = case
+        expected = ReferenceKBasis(n).build(
+            galg.from_dict(n, d) for d in rels)
+        shuffled = []
+        for d in rels:
+            terms = [(c, p) for p, c in d.items()]
+            rng.shuffle(terms)
+            shuffled.append(terms)
+        b = KBasis(n).build(shuffled)
+        assert [r.terms for r in b.rows] == [r.terms for r in expected.rows]
+        assert all(type(c) is int for r in b.rows for c, _ in r.terms)
+        assert check_reduced(b)
+        if any(r.terms[0][0] != 1 for r in b.rows):
+            event("a pivot other than 1")
+
+    def test_fraction_step(self):
+        # the row 2*e321 + 3*e123 has pivot 2, so sieving e321 out of
+        # e231 + e321 divides: the residue is 2*e231 - 3*e123, renormed
+        rels = [{(3, 2, 1): 2, (1, 2, 3): 3}, {(2, 3, 1): 1, (3, 2, 1): 1}]
+        expected = ReferenceKBasis(3).build(galg.from_dict(3, d)
+                                            for d in rels)
+        b = KBasis(3).build([(c, p) for p, c in d.items()] for d in rels)
+        assert [r.terms for r in b.rows] == [r.terms for r in expected.rows]
+        assert b.rows[1].terms == ((2, (2, 3, 1)), (-3, (1, 2, 3)))
 
 
 class TestExport:

@@ -458,12 +458,13 @@ class TestMonotermReference:
                "t(a,b,c,d,e,f)+t(b,c,d,e,f,a)"]
         tensors = [declared("ri", RELATIONS["ri"]), declared("t", six)]
         sieved = []
-        sieve = KBasis.sieve
+        build = KBasis.build
 
-        def spy(self, v):
-            sieved.append(len(v))
-            return sieve(self, v)
-        monkeypatch.setattr(KBasis, "sieve", spy)
+        def spy(self, relations):
+            relations = list(relations)
+            sieved.extend(map(len, relations))
+            return build(self, relations)
+        monkeypatch.setattr(KBasis, "build", spy)
         counts = []
         for tensor in tensors:
             sieved.clear()
