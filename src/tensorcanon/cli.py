@@ -70,8 +70,8 @@ class Session:
             else:
                 self.switches[stmt.name] = stmt.on
         elif isinstance(stmt, Assignment):
-            self.bindings[stmt.name] = frontend.resolve(stmt.expr,
-                                                        self.bindings)
+            self.bindings[stmt.name] = frontend.to_raw_terms(
+                frontend.resolve(stmt.expr, self.bindings))
         elif isinstance(stmt, ExprEval):
             self._evaluate(stmt.expr)
         elif isinstance(stmt, ShowTime):

@@ -387,8 +387,9 @@ def parse_basis_spec(text: str) -> tuple[str, tuple[str, ...]]:
 
 def resolve(expr: TermList, bindings: dict[str, TermList]) -> TermList:
     """Substitute bound names in a term list as `parse` or `resolve`
-    returns it, products collected; returns one of (name, indices) factors."""
-    if all(len(f) == 2 for _, factors in expr for f in factors):
+    returns it, products collected, into one of (name, indices) factors;
+    with no bindings, `expr` as it is: `to_raw_terms` refuses bound names."""
+    if not bindings or all(len(f) == 2 for _, fs in expr for f in fs):
         return expr
     result: TermList = []
     for c, factors in expr:
@@ -407,7 +408,8 @@ def resolve(expr: TermList, bindings: dict[str, TermList]) -> TermList:
 
 def to_raw_terms(expr: TermList) -> TermList:
     """The term list itself, once checked to hold no bound name: its terms
-    are then the (coeff, ((name, indices), ...)) that `normalize` reads."""
+    are then the (coeff, ((name, indices), ...)) that `normalize` reads;
+    every caller runs this check after `resolve`."""
     for _, factors in expr:
         for f in factors:
             if len(f) == 1:

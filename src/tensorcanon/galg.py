@@ -13,7 +13,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable
 
-from .perm import check, multiply
+from .perm import check
 
 _MAP = itemgetter(1)
 
@@ -141,15 +141,6 @@ def renorm(v: GroupVector) -> GroupVector:
         g = -g
     terms = tuple((x // g, p) for x, (_, p) in zip(nums, v.terms))
     return GroupVector(v.degree, terms, _normalized=True)
-
-
-def translate_right(v: GroupVector, p: tuple) -> GroupVector:
-    """Replace every term permutation q by q∘p."""
-    if len(p) != v.degree:
-        raise ValueError(f"degree mismatch: {v.degree} != {len(p)}")
-    terms = sorted(((c, multiply(q, p)) for c, q in v.terms),
-                   key=_MAP, reverse=True)
-    return GroupVector(v.degree, tuple(terms), _normalized=True)
 
 
 def leading(v: GroupVector) -> tuple[int | Fraction, tuple]:

@@ -307,9 +307,10 @@ class Closure:
     """A header's orbit table and the basis of its multiterm relations on
     the orbits closed so far; `rows` are the factors' multiterm rows lifted
     onto every block, each of identical factors too, as a block swap
-    carries one block's translates onto another's."""
+    carries one block's translates onto another's.  A row is its list of
+    (c, (0,)+q) terms: the translate by m has the maps q*m, read at m."""
 
-    def __init__(self, table: OrbitTable, rows: list[GroupVector]):
+    def __init__(self, table: OrbitTable, rows: list[list[tuple]]):
         self.table, self.rows = table, rows
         self.basis = KBasis(table.n)
         self.closed: set[tuple] = set()
@@ -322,8 +323,9 @@ class Closure:
         closed.update(queue)
         rels: list[GroupVector] = []
         for m in queue:
+            act = _reader(m)
             for row in self.rows:
-                r = orbit_project(galg.translate_right(row, m), table)
+                r = orbit_project([(c, act(q)) for c, q in row], table)
                 if not r.is_zero():
                     rels.append(r)
                     for _, x in r.terms:
@@ -334,17 +336,18 @@ class Closure:
         return rels
 
 
-def orbit_project(v: GroupVector, table: OrbitTable) -> GroupVector:
-    """Map every term onto the minimum of its signed double coset, its
-    coset minimum first and then through the table, adding coefficients."""
+def orbit_project(terms: Iterable[tuple], table: OrbitTable) -> GroupVector:
+    """Map every (coefficient, map) term, a vector's too, onto the minimum
+    of its signed double coset, its coset minimum first and then through
+    the table, adding coefficients."""
     lead = 2 * table.npairs
     acc: dict[tuple, int | Fraction] = {}
-    for c, p in v.terms:
+    for c, p in terms:
         hit = table[coset_minimum(p, lead) if lead else p]
         if hit is not None:
             s, m = hit
             acc[m] = acc.get(m, 0) + (c if s > 0 else -c)
-    return galg.from_dict(v.degree, acc)
+    return galg.from_dict(table.n, acc)
 
 
 def coset_reps(n: int, npairs: int):
@@ -546,7 +549,11 @@ class Registry:
         for c, facs in terms:
             if not facs:
                 raise TensorError("term without tensor factors")
-            if len(facs) > 1:
+            if len(facs) == 2:     # as the stable sort: equal names stay
+                f, g = facs
+                if g[0] < f[0]:
+                    facs = g, f
+            elif len(facs) > 2:
                 facs = sorted(facs, key=_FIRST)
             product, names = [], []
             for fname, idx in facs:
@@ -634,7 +641,7 @@ class Registry:
         monoterm generators and the swaps of adjacent identical blocks."""
         n = header.degree
         gens: list[Generator] = []
-        rows: list[GroupVector] = []
+        rows: list[list[tuple]] = []
 
         def embed(g):
             # a factor's map on the slots off+1..off+arity, the others fixed
@@ -652,9 +659,8 @@ class Registry:
                 m = list(range(1, n + 1))
                 m[off - arity:off + arity] = m[off:off + arity] + m[off - arity:off]
                 gens.append((tuple(m), 1))
-            # a fixed head, a shift and a fixed tail keep the terms' order
-            rows.extend(GroupVector(n, [(c, embed(p)) for c, p in row.terms],
-                                    _normalized=True) for row in trows)
+            rows.extend([(c, (0,) + embed(p)) for c, p in row.terms]
+                        for row in trows)
         return Closure(OrbitTable(n, gens, header.npairs), rows)
 
     def _header_closure(self, header: TensorHeader) -> Closure:

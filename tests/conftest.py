@@ -1,10 +1,13 @@
 """Shared fixtures: scenario registries, random vector generation, the
-inverse of a permutation and a parity oracle."""
+inverse of a permutation, right translation of a vector and a parity
+oracle."""
 
 from fractions import Fraction
 import random
 
 from tensorcanon import frontend, galg
+from tensorcanon.galg import GroupVector
+from tensorcanon.perm import multiply
 from tensorcanon.texpr import Registry, coset_reps
 
 # The standard scenarios: an antisymmetric and a symmetric pair tensor,
@@ -68,6 +71,15 @@ def inverse(p: tuple) -> tuple[int, ...]:
     for i, v in enumerate(p):
         r[v - 1] = i + 1
     return tuple(r)
+
+
+def translate_right(v: GroupVector, p: tuple) -> GroupVector:
+    """Replace every term permutation q by q∘p."""
+    if len(p) != v.degree:
+        raise ValueError(f"degree mismatch: {v.degree} != {len(p)}")
+    terms = sorted(((c, multiply(q, p)) for c, q in v.terms),
+                   key=lambda t: t[1], reverse=True)
+    return GroupVector(v.degree, tuple(terms), _normalized=True)
 
 
 def inversion_sign(p: tuple) -> int:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from tensorcanon import galg
 from tensorcanon.galg import GroupVector
 from tensorcanon.texpr import (Generator, OrbitTable, TensorError,
                                TensorHeader, coset_minimum, coset_reps,
                                orbit_project)
+
+from conftest import translate_right
 
 
 def _lift(row: GroupVector, off: int, right: int) -> GroupVector:
@@ -85,7 +86,7 @@ def quotient(self, header: TensorHeader, full: bool = False
         for row in rows:
             lifted = _lift(row, off, n - off - arity)
             for rho in reps:
-                r = orbit_project(galg.translate_right(lifted, rho), table)
+                r = orbit_project(translate_right(lifted, rho), table)
                 if not r.is_zero():
                     rels.append(r)
     return table, rels

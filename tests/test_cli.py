@@ -88,6 +88,21 @@ class TestSession:
         _, out, _ = run_session(SETUP + "x := a2(i,j)+a2(j,i); x;")
         assert out.strip() == "0"
 
+    @pytest.mark.parametrize("text, refused, bound", [
+        ("x := y; x;", ["y", "x"], []),     # the refused binding is not kept
+        ("tsym y;", ["y"], []),
+        ("y;", ["y"], []),
+        (SETUP + "x := a2(i,j); z := x*y; z;", ["y", "z"], ["x"]),
+    ], ids=["assignment", "tsym", "evaluation", "beside-a-binding"])
+    def test_unbound_name(self, text, refused, bound):
+        out, err = io.StringIO(), io.StringIO()
+        s = Session(out=out, err=err)
+        assert s.run_text(text) == 1
+        assert err.getvalue() == "".join(
+            f"***** {x} is not bound to an expression\n" for x in refused)
+        assert out.getvalue() == ""
+        assert sorted(s.bindings) == bound
+
     def test_unknown_switch(self):
         _, _, err = run_session("on nosuch;")
         assert "unknown switch" in err

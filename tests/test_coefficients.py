@@ -67,11 +67,17 @@ class Recorder:
         rows = [row for b in self.bases.values() for row in b.rows]
         for t in registry.tensors.values():
             rows += t._k0
+        lifted = []
         for closure, _ in registry._memo.values():
-            rows += closure.basis.rows + closure.rows
+            rows += closure.basis.rows
+            lifted += closure.rows
         assert rows
         for row in rows:
             check_row(row)
+        # a closure's lifted rows are their (c, (0,)+map) terms in order
+        for terms in lifted:
+            assert all(type(c) is int for c, _ in terms), terms
+            assert terms[0][0] > 0, terms
 
 
 def check_row(row: GroupVector):

@@ -203,6 +203,15 @@ class TestResolve:
                 count += 1
         assert count == 232
 
+    def test_no_bindings_returns_the_list_itself(self):
+        # without bindings nothing is substituted or refused, bound names
+        # included: to_raw_terms refuses them
+        for text in ("a2(i,j)+2*a2(j,i);", "x;", "3*x*a2(i,j) - y;"):
+            expr = parse(text)[0].expr
+            assert resolve(expr, {}) is expr
+        with pytest.raises(ParseError, match="^x is not bound"):
+            to_raw_terms(resolve(expr, {}))
+
     def test_unbound_name(self):
         (e,) = parse("x;")
         with pytest.raises(ParseError) as ei:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from tensorcanon import galg, perm
 from tensorcanon.galg import GroupVector
 
-from conftest import inverse, random_vector
+from conftest import inverse, random_vector, translate_right
 
 
 def vectors(n=3):
@@ -110,18 +110,17 @@ class TestTranslate:
     @given(vectors())
     def test_identity_translations(self, v):
         e = perm.identity(3)
-        assert galg.translate_right(v, e) == v
+        assert translate_right(v, e) == v
 
     def test_translate_right_unit(self):
         q, p = (2, 1, 3), (3, 1, 2)
-        assert galg.translate_right(galg.unit(q), p) == galg.unit(
+        assert translate_right(galg.unit(q), p) == galg.unit(
             perm.multiply(q, p))
 
     @given(vectors())
     def test_translations_invertible(self, v):
         p = (2, 3, 1)
-        assert galg.translate_right(
-            galg.translate_right(v, p), inverse(p)) == v
+        assert translate_right(translate_right(v, p), inverse(p)) == v
 
 
 class TestLeading:

@@ -32,7 +32,7 @@ from tensorcanon.texpr import (DegreeLimitError, OrbitTable, Registry,
                                monoterm_data, orbit_project)
 
 from conftest import (MULTITERM, RELATIONS, check_reduced, make_registry,
-                      random_vector, raw_terms)
+                      random_vector, raw_terms, translate_right)
 import reference_monoterm
 import reference_orbits
 import reference_quotient
@@ -58,7 +58,7 @@ def reference_relations(reg, header):
     for (name, arity), off in zip(header.factors, offs):
         for row in reg.tensors[name].k0_basis().rows:
             lifted = reference_quotient._lift(row, off, n - off - arity)
-            rels.extend(galg.translate_right(lifted, rho) for rho in perms)
+            rels.extend(translate_right(lifted, rho) for rho in perms)
     for sigma in block_swaps(header):
         rels.extend(galg.add(galg.unit(perm.multiply(sigma, rho)),
                              galg.unit(rho, -1)) for rho in perms)
@@ -293,7 +293,7 @@ class TestDegreeEight:
             for row in reg.tensors[name].k0_basis().rows:
                 lifted = reference_quotient._lift(row, off, 8 - off - arity)
                 for rho in rhos:
-                    rel = project(galg.translate_right(lifted, rho), 2)
+                    rel = project(translate_right(lifted, rho), 2)
                     assert b.sieve(rel).is_zero()
         res = reg.simplify(te)
         assert not res.canonical.is_zero()
@@ -816,10 +816,10 @@ class TestClosure:
         assert self.checked(*self.random_headers()) > 40
 
     def test_lifted_rows_keep_the_order(self):
-        # the closure lifts each factor's multiterm rows onto its block
-        # without sorting them again: on every header of the tests above,
-        # each lifted row must be strictly descending in its maps and equal
-        # the reference lift, which sorts
+        # the closure lifts each factor's multiterm rows onto its block as
+        # (c, (0,)+map) terms without sorting them again: on every header of
+        # the tests above, each lifted row must be strictly descending in
+        # its maps and equal the reference lift, which sorts, term for term
         lifted = set()
 
         def checked_closure(reg):
@@ -831,9 +831,10 @@ class TestClosure:
                                                  h.degree - off - arity)
                         for (name, arity), off in zip(h.factors, h.offsets())
                         for row in reg.tensors[name].monoterm()[1]]
-                assert c.rows == want, h
+                assert c.rows == [[(x, (0,) + p) for x, p in row.terms]
+                                  for row in want], h
                 for row in c.rows:
-                    maps = [p for _, p in row.terms]
+                    maps = [p for _, p in row]
                     assert all(x > y for x, y in zip(maps, maps[1:])), h
                 if want:
                     lifted.add(h.factors)

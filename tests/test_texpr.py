@@ -13,7 +13,8 @@ from tensorcanon import frontend, galg, oracle, texpr
 from tensorcanon.texpr import (DegreeLimitError, Registry, TensorError,
                                TensorExpr, coset_reps, estimate_memory)
 
-from conftest import MULTITERM, RELATIONS, make_registry, raw_terms
+from conftest import (MULTITERM, RELATIONS, make_registry, raw_terms,
+                      translate_right)
 import reference_normalize
 import reference_orbits
 
@@ -97,7 +98,7 @@ class TestSymmetryDeclaration:
         t = make_registry("ri").tensors["ri"]
         rows = t.k0_basis().rows
         b = t.k0_basis()
-        b.build(galg.translate_right(galg.unit((2, 1, 3, 4)), rho)
+        b.build(translate_right(galg.unit((2, 1, 3, 4)), rho)
                 for rho in coset_reps(4, 0))
         assert b.dim() > len(rows)
         assert t.k0_basis().rows == rows
@@ -321,6 +322,46 @@ class TestNormalizeDifferential:
             assert isinstance(result[0], texpr.TensorHeader)
         else:
             assert result[0] is TensorError and error in result[1]
+
+    @pytest.mark.parametrize("terms", [
+        [(1, (("a2", ("i", "j")), ("a2", ("k", "l")))),
+         (2, (("a2", ("k", "l")), ("a2", ("i", "j")))),
+         (3, (("a2", ("l", "k")), ("a2", ("j", "i"))))],
+        [(1, (("a2", ("i", "k")), ("a2", ("k", "j")))),
+         (-1, (("a2", ("k", "j")), ("a2", ("i", "k"))))],
+        [(1, (("ri", ("a", "b", "c", "d")), ("ri", ("e", "f", "g", "h")))),
+         (2, (("ri", ("e", "f", "g", "h")), ("ri", ("a", "b", "c", "d"))))],
+        [(1, (("ri", ("a", "b", "c", "d")), ("ri", ("a", "c", "e", "f")))),
+         (-1, (("ri", ("a", "c", "e", "f")), ("ri", ("a", "b", "c", "d")))),
+         (1, (("ri", ("c", "a", "e", "f")), ("ri", ("b", "d", "a", "c"))))],
+        # three factors are sorted; equal names keep their order there too
+        [(1, (("s2", ("i", "j")), ("a2", ("k", "l")), ("a2", ("m", "k")))),
+         (1, (("a2", ("m", "k")), ("s2", ("j", "i")), ("a2", ("k", "l"))))],
+    ], ids=["a2-a2", "a2-a2-paired", "ri-ri", "ri-ri-paired", "three"])
+    def test_repeated_tensors(self, terms):
+        # of two factors with one name, neither is moved before the other
+        result = self.check(terms, NORMALIZE_TENSORS)
+        assert isinstance(result[0], texpr.TensorHeader)
+
+    def test_random_repeated_tensors(self):
+        # random_raw_terms draws a product without repeats; here each
+        # product holds one tensor twice, in either order, beside at most
+        # one other
+        rng = random.Random(3001)
+        arity = {"a2": 2, "s2": 2, "a3": 3, "ri": 4, "v1": 1}
+        accepted = 0
+        for _ in range(500):
+            twice = rng.choice(list(arity))
+            product = [twice, twice] + rng.sample(list(arity), rng.randint(0, 1))
+            names = rng.sample("abcdefghijk", rng.randint(3, 7))
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                rng.shuffle(product)
+                terms.append((rng.choice((1, -1, 2)), tuple(
+                    (f, tuple(rng.choice(names) for _ in range(arity[f])))
+                    for f in product)))
+            accepted += len(self.check(terms, NORMALIZE_TENSORS)) == 3
+        assert accepted > 100
 
     def test_random_raw_terms(self):
         rng = random.Random(707)
