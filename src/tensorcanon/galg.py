@@ -1,9 +1,12 @@
-"""Group-algebra vectors over S_n.
+"""Group-algebra vectors over S_n, as the engine builds them.
 
 A GroupVector is an exact sparse linear combination of permutations, each
 its one-line map, with `int` coefficients where integral, else `Fraction`,
 never `float`.  Terms are in strictly descending lexicographic order of
-the maps, with no zero coefficients; the zero vector has no terms.
+the maps, with no zero coefficients; the zero vector has no terms.  The
+public constructor sorts and merges any terms; terms known to be in that
+order already are taken as they are with `_normalized=True`.  Besides it
+the engine needs `from_dict`, `add`, `negate` and `renorm`.
 """
 
 from __future__ import annotations
@@ -69,18 +72,6 @@ def _merge_terms(degree: int, tl) -> tuple:
     return tuple(out)
 
 
-def zero(degree: int) -> GroupVector:
-    return GroupVector(degree, (), _normalized=True)
-
-
-def unit(p: tuple, c=1) -> GroupVector:
-    """The single-term vector c*e_p."""
-    c = coef(c)
-    if c == 0:
-        return zero(len(p))
-    return GroupVector(len(p), ((c, p),), _normalized=True)
-
-
 def from_dict(degree: int, d: dict[tuple, int | Fraction]) -> GroupVector:
     terms = sorted(((c, p) for p, c in d.items() if c != 0),
                    key=_MAP, reverse=True)
@@ -108,18 +99,9 @@ def add(u: GroupVector, v: GroupVector) -> GroupVector:
     return from_dict(u.degree, acc)
 
 
-def scale(c, v: GroupVector) -> GroupVector:
-    c = coef(c)
-    if c == 0:
-        return zero(v.degree)
-    if c == 1:
-        return v
-    return GroupVector(v.degree, tuple((c * a, p) for a, p in v.terms),
-                       _normalized=True)
-
-
 def negate(v: GroupVector) -> GroupVector:
-    return scale(-1, v)
+    return GroupVector(v.degree, tuple((-c, p) for c, p in v.terms),
+                       _normalized=True)
 
 
 def renorm(v: GroupVector) -> GroupVector:
@@ -141,10 +123,3 @@ def renorm(v: GroupVector) -> GroupVector:
         g = -g
     terms = tuple((x // g, p) for x, (_, p) in zip(nums, v.terms))
     return GroupVector(v.degree, terms, _normalized=True)
-
-
-def leading(v: GroupVector) -> tuple[int | Fraction, tuple]:
-    """First term under the global descending order."""
-    if not v.terms:
-        raise ValueError("leading term of the zero vector")
-    return v.terms[0]

@@ -53,7 +53,7 @@ class KBasis:
         """A basis around rows that are already renormed and reduced, such
         as the `rows` of another basis, keyed by their leading maps."""
         b = cls(degree)
-        b._rows = {galg.leading(row)[1]: row for row in rows}
+        b._rows = {row.terms[0][1]: row for row in rows}
         return b
 
     @property

@@ -1,4 +1,4 @@
-"""Exact arithmetic on permutations of S_n.
+"""Permutations of S_n: a check and a composition.
 
 A permutation is its one-line map: a tuple of the 1-based slot values,
 immutable and hashable as it is.  `check` validates a map that comes
@@ -23,12 +23,6 @@ def check(seq: Sequence[int]) -> tuple[int, ...]:
     if sorted(m) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {m}")
     return m
-
-
-def identity(n: int) -> tuple[int, ...]:
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    return tuple(range(1, n + 1))
 
 
 def multiply(p: tuple, q: tuple) -> tuple[int, ...]:

@@ -204,8 +204,8 @@ def monoterm_data(b: KBasis) -> tuple[list[Generator], list[GroupVector]]:
     of the group, the nonzero residues reduced; a two-term row with
     unequal coefficients stays."""
     a = b.degree
-    ident = perm.identity(a)
-    rows = {galg.leading(row)[1]: row for row in b.rows}
+    ident = tuple(range(1, a + 1))
+    rows = {row.terms[0][1]: row for row in b.rows}
     if ident in rows:
         return [(ident, -1)], []
     signs = {g: -r.terms[1][0] for g, r in rows.items()
@@ -578,9 +578,8 @@ class Registry:
                                       tuple([k[1:] for k in free]))
                 where = {k: i for i, k in enumerate(ref_keys)}
                 product0, ref_names = product, [x for _, x, _ in free]
-                # itemgetter of one name gives no tuple
-                take = (itemgetter(*ref_names) if len(ref_names) > 1 else
-                        lambda pos: tuple(map(pos.__getitem__, ref_names)))
+                # an all-pair header never takes by position
+                take = _reader(ref_names) if ref_names else None
             if error is None and product != product0:
                 error = ("terms of one expression must share the same"
                          " product of basic tensors")
@@ -686,13 +685,16 @@ class Registry:
         with e_x = s*e_m, m its orbit minimum, and e_x for each member of
         a vanishing orbit.  Together they span the product relations
         projected onto coset minima."""
+        n = header.degree
         closure = self._closure(header)
         rels = closure.close(closure.table.minima())
+        # the orbit minimum m is below x, so the terms are in descending order
         for x, hit in closure.table.items():
             if hit is None:
-                rels.append(galg.unit(x))
+                rels.append(GroupVector(n, ((1, x),), _normalized=True))
             elif hit[1] != x:
-                rels.append(galg.add(galg.unit(x), galg.unit(hit[1], -hit[0])))
+                rels.append(GroupVector(n, ((1, x), (-hit[0], hit[1])),
+                                        _normalized=True))
         return rels
 
     def dummy_relations(self, header: TensorHeader) -> list[GroupVector]:
@@ -714,9 +716,8 @@ class Registry:
             gens.append(tuple(m))
         rels: list[GroupVector] = []
         for g in gens:
-            rels.extend(
-                galg.add(galg.unit(perm.multiply(pi, g)), galg.unit(pi, -1))
-                for pi in coset_reps(n, 0))
+            rels.extend(galg.from_dict(n, {perm.multiply(pi, g): 1, pi: -1})
+                        for pi in coset_reps(n, 0))
         return rels
 
     def expression_basis(self, header: TensorHeader) -> KBasis:

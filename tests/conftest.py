@@ -1,4 +1,5 @@
-"""Shared fixtures: scenario registries, random vector generation, the
+"""Shared fixtures: scenario registries, random vector generation, unit
+and scaled vectors through the public constructor, the identity and the
 inverse of a permutation, right translation of a vector and a parity
 oracle."""
 
@@ -60,9 +61,22 @@ def check_reduced(b) -> bool:
         for _, p in row.terms[1:]:
             if p in b._rows:
                 return False
-        if galg.leading(row)[1] != key:
+        if row.terms[0][1] != key:
             return False
     return b._cols is None or b._cols == b._index()
+
+
+def unit(p: tuple, c=1) -> GroupVector:
+    """The single-term vector c*e_p, zero when c is."""
+    return GroupVector(len(p), [(c, p)])
+
+
+def scale(c, v: GroupVector) -> GroupVector:
+    return GroupVector(v.degree, [(galg.coef(c) * a, p) for a, p in v.terms])
+
+
+def identity(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
 
 
 def inverse(p: tuple) -> tuple[int, ...]:

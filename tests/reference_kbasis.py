@@ -1,7 +1,8 @@
 """`KBasis.build` and `KBasis.insert` as they were before a build reduced
 its relations as maps, kept as a test-only reference: every relation goes
 through `sieve`, and an insert reduces each row that carries the new
-pivot by the chain galg.scale, galg.scale, galg.add, galg.renorm.
+pivot by the chain scale, scale, galg.add, galg.renorm (`scale` is the
+helper of `conftest`).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from tensorcanon import galg
 from tensorcanon.galg import GroupVector
 from tensorcanon.kbasis import KBasis, PivotCollisionError
 
+from conftest import scale
+
 
 class ReferenceKBasis(KBasis):
     def insert(self, v: GroupVector):
@@ -20,7 +23,7 @@ class ReferenceKBasis(KBasis):
         if v.is_zero():
             raise ValueError("cannot insert the zero vector")
         v = galg.renorm(v)
-        pc, key = galg.leading(v)
+        pc, key = v.terms[0]
         if key in self._rows:
             raise PivotCollisionError(f"pivot {key} already present (missed sieve?)")
         if self._cols is None:
@@ -29,8 +32,7 @@ class ReferenceKBasis(KBasis):
         for rkey in cols.pop(key, ()):
             row = self._rows[rkey]
             c = next(rc for rc, rp in row.terms if rp == key)
-            new = galg.renorm(galg.add(galg.scale(pc, row),
-                                       galg.scale(-c, v)))
+            new = galg.renorm(galg.add(scale(pc, row), scale(-c, v)))
             self._rows[rkey] = new
             old = {p for _, p in row.terms[1:]}
             now = {p for _, p in new.terms[1:]}

@@ -5,10 +5,12 @@ S_a through the basis and projects every stored row.
 
 from __future__ import annotations
 
-from tensorcanon import galg, perm
+from tensorcanon import galg
 from tensorcanon.galg import GroupVector
 from tensorcanon.kbasis import KBasis
 from tensorcanon.texpr import Generator, OrbitTable, _orbit, coset_reps, orbit_project
+
+from conftest import identity, unit
 
 
 def monoterm_data(b: KBasis) -> tuple[list[Generator], list[GroupVector]]:
@@ -25,15 +27,15 @@ def monoterm_data(b: KBasis) -> tuple[list[Generator], list[GroupVector]]:
     the group, the nonzero residues reduced: with the orbit relations they
     span b again, and a two-term row with unequal coefficients stays."""
     a = b.degree
-    ident = perm.identity(a)
-    base = b.sieve(galg.unit(ident))
+    ident = identity(a)
+    base = b.sieve(unit(ident))
     if base.is_zero():
         return [(ident, -1)], []
     neg = galg.negate(base)
     gens: list[Generator] = []
     group = {ident: 1}
     for g in coset_reps(a, 0):
-        r = b.sieve(galg.unit(g))
+        r = b.sieve(unit(g))
         s = 1 if r == base else -1 if r == neg else 0
         if s and g not in group:
             gens.append((g, s))

@@ -20,7 +20,7 @@ from tensorcanon.cli import Session
 from tensorcanon.kbasis import KBasis
 from tensorcanon.texpr import estimate_memory
 
-from conftest import RELATIONS, make_registry, random_vector, raw_terms
+from conftest import RELATIONS, make_registry, random_vector, raw_terms, scale
 
 HERE = Path(__file__).parent
 
@@ -153,9 +153,8 @@ def test_criterion_5_properties():
             assert basis.sieve(s) == s, f"{label}: sieve not idempotent"
             assert len(s.terms) <= bound, f"{label}: length bound violated"
             if prev is not None:
-                combo = galg.add(galg.scale(2, v), galg.scale(-3, prev))
-                lin = galg.add(galg.scale(2, s),
-                               galg.scale(-3, basis.sieve(prev)))
+                combo = galg.add(scale(2, v), scale(-3, prev))
+                lin = galg.add(scale(2, s), scale(-3, basis.sieve(prev)))
                 assert basis.sieve(combo) == lin, f"{label}: not linear"
             prev = v
 

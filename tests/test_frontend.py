@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from tensorcanon import frontend, galg
+from tensorcanon import frontend
 from tensorcanon.frontend import (Assignment, ExprEval, KBasisQuery,
                                   ParseError, ShowTime, SwitchSet, SymDecl,
                                   TClear, TensorDecl, parse, resolve,
                                   to_raw_terms)
+from tensorcanon.galg import GroupVector
 
-from conftest import make_registry, raw_terms
+from conftest import make_registry, raw_terms, scale, unit
 import reference_parser
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -235,7 +236,7 @@ class TestPrinting:
     def test_zero(self):
         reg = make_registry("a2")
         te = frontend.TensorExpr(self._expr(reg, "a2(i,j)").header,
-                                 galg.zero(2))
+                                 GroupVector(2))
         assert frontend.format_expr(te) == "0"
 
     def test_unit_coefficient_omitted(self):
@@ -251,7 +252,7 @@ class TestPrinting:
         reg = make_registry("a2")
         base = self._expr(reg, "a2(i,j)")
         te = frontend.TensorExpr(base.header,
-                                 galg.scale(Fraction(1, 2), base.vec))
+                                 scale(Fraction(1, 2), base.vec))
         assert frontend.format_expr(te) == "a2(i,j) / 2"
 
     def test_product_and_order(self):
@@ -275,13 +276,13 @@ class TestPrinting:
 
     def test_format_vector_rearranges_slots(self):
         header_names = ["i", "j"]
-        v = galg.unit((2, 1))
+        v = unit((2, 1))
         out = frontend.format_vector(v, (("a2", 2),), header_names)
         assert out == "a2(j,i)"
 
     def test_format_vector_places_slot_names_by_the_map(self):
         # the name of slot i goes to position p[i]
-        v = galg.unit((2, 3, 1))
+        v = unit((2, 3, 1))
         out = frontend.format_vector(v, (("t", 3),), ["i", "j", "k"])
         assert out == "t(k,i,j)"
 

@@ -7,18 +7,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from tensorcanon import galg, perm
+from tensorcanon import galg
+from tensorcanon.galg import GroupVector
 from tensorcanon.kbasis import KBasis, PivotCollisionError
 from tensorcanon.texpr import coset_reps
 
-from conftest import check_reduced, inversion_sign, random_vector
+from conftest import (check_reduced, identity, inversion_sign, random_vector,
+                      scale, unit)
 from reference_kbasis import ReferenceKBasis
 
 
 def sign_relations(n):
     """e_p - sign(p)*e_id for p != id; spans a subspace of dimension n!-1."""
-    e = perm.identity(n)
-    return [galg.add(galg.unit(p), galg.unit(e, -inversion_sign(p)))
+    e = identity(n)
+    return [galg.add(unit(p), unit(e, -inversion_sign(p)))
             for p in coset_reps(n, 0) if p != e]
 
 
@@ -31,15 +33,14 @@ class TestSieve:
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            KBasis(3).sieve(galg.unit((1, 2)))
+            KBasis(3).sieve(unit((1, 2)))
 
     def test_sign_scenario(self):
         # sieving any e_p against the parity relations lands on sign(p)*e_id
         b = KBasis(3).build(sign_relations(3))
         assert b.dim() == 5
         for p in coset_reps(3, 0):
-            assert b.sieve(galg.unit(p)) == galg.unit(
-                perm.identity(3), inversion_sign(p))
+            assert b.sieve(unit(p)) == unit(identity(3), inversion_sign(p))
 
     def test_idempotent(self):
         b = KBasis(3).build(sign_relations(3))
@@ -66,14 +67,14 @@ def reference_sieve_trace(b, v):
     """The earlier two-loop algorithm, kept as a reference: eliminate the
     first pivot term with galg.add until none is left, keeping the
     earliest fewest-term form."""
-    rows = {galg.leading(r)[1]: r for r in b.rows}
+    rows = {r.terms[0][1]: r for r in b.rows}
     shortest = v
     while True:
         hit = next(((c, rows[p]) for c, p in v.terms if p in rows), None)
         if hit is None:
             return v, shortest
         c, row = hit
-        v = galg.add(v, galg.scale(-c / galg.leading(row)[0], row))
+        v = galg.add(v, scale(-c / row.terms[0][0], row))
         if len(v.terms) < len(shortest.terms):
             shortest = v
 
@@ -112,46 +113,44 @@ class TestSieveDifferential:
 class TestInsert:
     def test_empty_insert(self):
         b = KBasis(2)
-        v = galg.add(galg.unit((2, 1), Fraction(2, 3)),
-                     galg.unit((1, 2), Fraction(4, 3)))
+        v = galg.add(unit((2, 1), Fraction(2, 3)),
+                     unit((1, 2), Fraction(4, 3)))
         b.insert(v)
         assert b.dim() == 1
         assert b.rows[0] == galg.renorm(v)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            KBasis(2).insert(galg.zero(2))
+            KBasis(2).insert(GroupVector(2))
 
     def test_pivot_collision(self):
         b = KBasis(2)
-        b.insert(galg.unit((2, 1)))
+        b.insert(unit((2, 1)))
         with pytest.raises(PivotCollisionError):
-            b.insert(galg.unit((2, 1), 5))
+            b.insert(unit((2, 1), 5))
 
     def test_unsieved_vector_carrying_a_pivot(self):
         # e21 + e12 carries the pivot of the row e12; as a row it would
         # leave the basis unreduced, and sieve(e21) would give -e12
         b = KBasis(2)
-        b.insert(galg.unit((1, 2)))
+        b.insert(unit((1, 2)))
         with pytest.raises(PivotCollisionError):
-            b.insert(galg.add(galg.unit((2, 1)), galg.unit((1, 2))))
+            b.insert(galg.add(unit((2, 1)), unit((1, 2))))
         assert b.dim() == 1 and check_reduced(b)
-        b.insert(galg.unit((2, 1)))
-        assert b.sieve(galg.unit((2, 1))).is_zero()
+        b.insert(unit((2, 1)))
+        assert b.sieve(unit((2, 1))).is_zero()
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            KBasis(3).insert(galg.unit((2, 1)))
+            KBasis(3).insert(unit((2, 1)))
         with pytest.raises(ValueError):
             KBasis(3).build([[(1, (2, 1))]])
 
     def test_rearranges_existing_rows(self):
         # an older row holding the new pivot gets reduced on insert
         b = KBasis(3)
-        b.insert(galg.add(galg.unit((3, 2, 1)),
-                          galg.unit((2, 1, 3))))
-        b.insert(galg.add(galg.unit((2, 1, 3)),
-                          galg.unit((1, 2, 3))))
+        b.insert(galg.add(unit((3, 2, 1)), unit((2, 1, 3))))
+        b.insert(galg.add(unit((2, 1, 3)), unit((1, 2, 3))))
         assert check_reduced(b)
         first = b.rows[0]
         assert {p: c for c, p in first.terms}.get((2, 1, 3), 0) == 0
@@ -229,7 +228,7 @@ class TestBuildDifferential:
 class TestExport:
     def _basis(self):
         b = KBasis(2)
-        b.insert(galg.add(galg.unit((2, 1)), galg.unit((1, 2), -1)))
+        b.insert(galg.add(unit((2, 1)), unit((1, 2), -1)))
         return b
 
     def test_dump_text(self):
@@ -255,11 +254,10 @@ class TestStoredRows:
         assert loaded.rows == b.rows
         assert check_reduced(loaded)
         # sieving alone leaves the column index unbuilt
-        assert loaded.sieve(galg.unit(perm.identity(3))) == galg.unit(
-            perm.identity(3))
+        assert loaded.sieve(unit(identity(3))) == unit(identity(3))
         assert loaded._cols is None
         # the first insert indexes the loaded rows and reduces them all
-        loaded.insert(galg.unit(perm.identity(3)))
+        loaded.insert(unit(identity(3)))
         assert loaded.dim() == 6
         assert check_reduced(loaded)
         assert all(len(row) == 1 for row in loaded.rows)

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tensorcanon import perm
-from tensorcanon.galg import unit
 from tensorcanon.kbasis import KBasis
 
-from conftest import inverse
+from conftest import identity, inverse, unit
 
 
 def perms(max_degree=6):
@@ -61,7 +60,7 @@ class TestMultiply:
 
     def test_identity_neutral(self):
         p = (3, 1, 2)
-        e = perm.identity(3)
+        e = identity(3)
         assert perm.multiply(p, e) == p
         assert perm.multiply(e, p) == p
 
@@ -80,6 +79,6 @@ class TestMultiply:
 class TestInverseDivide:
     @given(perms())
     def test_inverse(self, p):
-        e = perm.identity(len(p))
+        e = identity(len(p))
         assert perm.multiply(p, inverse(p)) == e
         assert perm.multiply(inverse(p), p) == e

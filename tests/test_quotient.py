@@ -31,8 +31,9 @@ from tensorcanon.texpr import (DegreeLimitError, OrbitTable, Registry,
                                TensorHeader, coset_minimum, coset_reps,
                                monoterm_data, orbit_project)
 
-from conftest import (MULTITERM, RELATIONS, check_reduced, make_registry,
-                      random_vector, raw_terms, translate_right)
+from conftest import (MULTITERM, RELATIONS, check_reduced, identity,
+                      make_registry, random_vector, raw_terms, translate_right,
+                      unit)
 import reference_monoterm
 import reference_orbits
 import reference_quotient
@@ -60,8 +61,8 @@ def reference_relations(reg, header):
             lifted = reference_quotient._lift(row, off, n - off - arity)
             rels.extend(translate_right(lifted, rho) for rho in perms)
     for sigma in block_swaps(header):
-        rels.extend(galg.add(galg.unit(perm.multiply(sigma, rho)),
-                             galg.unit(rho, -1)) for rho in perms)
+        rels.extend(galg.add(unit(perm.multiply(sigma, rho)),
+                             unit(rho, -1)) for rho in perms)
     return rels + reg.dummy_relations(header)
 
 
@@ -113,7 +114,7 @@ def cases(seed, count, max_degree, min_pairs=1, arity=ARITY):
 
 def pivot_rows(basis, npairs=0):
     """The rows of a basis by pivot, those with a coset minimum as pivot."""
-    rows = {galg.leading(r)[1]: r for r in basis.rows}
+    rows = {r.terms[0][1]: r for r in basis.rows}
     return {k: r for k, r in rows.items()
             if coset_minimum(k, 2 * npairs) == k}
 
@@ -125,7 +126,7 @@ class TestCosets:
                 reps = list(coset_reps(n, p))
                 assert reps == sorted(reps)
                 assert len(reps) == factorial(n) // (2 ** p * factorial(p))
-                minima = {galg.leading(project(galg.unit(pi), p))[1]
+                minima = {project(unit(pi), p).terms[0][1]
                           for pi in permutations(range(1, n + 1))}
                 assert set(reps) == minima
 
@@ -236,8 +237,8 @@ class TestSwapRelations:
             rels = reg.product_relations(h)
             assert len(rels) == count, expr
             every = rels + [
-                project(galg.add(galg.unit(perm.multiply(sigma, rho)),
-                                 galg.unit(rho, -1)), h.npairs)
+                project(galg.add(unit(perm.multiply(sigma, rho)),
+                                 unit(rho, -1)), h.npairs)
                 for sigma in block_swaps(h)
                 for rho in coset_reps(h.degree, h.npairs)]
             assert (pivot_rows(KBasis(h.degree).build(rels))
@@ -353,10 +354,9 @@ class TestMonotermGroup:
         reg = make_registry("ri")
         k0 = reg.tensors["ri"].k0_basis()
         gens, rows = reg.tensors["ri"].monoterm()
-        ident = perm.identity(4)
+        ident = identity(4)
         expected = {(g, s) for g in coset_reps(4, 0) for s in (1, -1)
-                    if k0.sieve(galg.add(galg.unit(ident),
-                                         galg.unit(g, -s))).is_zero()}
+                    if k0.sieve(galg.add(unit(ident), unit(g, -s))).is_zero()}
         group = {(ident, 1)}
         while True:
             more = {(tuple(g[v - 1] for v in x), s * t)
@@ -446,7 +446,7 @@ class TestMonotermReference:
                      for c in rng.choice(shapes)])
             if reg.tensors["t"].k0_basis().dim():
                 gens, rows = self.check(reg.tensors["t"])
-                kind = ("vanishes" if gens[:1] == [(perm.identity(n), -1)]
+                kind = ("vanishes" if gens[:1] == [(identity(n), -1)]
                         else (len(gens) > 1, bool(rows)))
                 kinds[kind] = kinds.get(kind, 0) + 1
         # vanishing tensors, and groups of at most one and of several

@@ -4,17 +4,20 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tensorcanon import frontend, galg, oracle, texpr
+from tensorcanon.galg import GroupVector
 from tensorcanon.texpr import (DegreeLimitError, Registry, TensorError,
                                TensorExpr, coset_reps, estimate_memory)
 
-from conftest import (MULTITERM, RELATIONS, make_registry, raw_terms,
-                      translate_right)
+from conftest import (MULTITERM, RELATIONS, identity, make_registry,
+                      raw_terms, translate_right, unit)
 import reference_normalize
 import reference_orbits
 
@@ -98,7 +101,7 @@ class TestSymmetryDeclaration:
         t = make_registry("ri").tensors["ri"]
         rows = t.k0_basis().rows
         b = t.k0_basis()
-        b.build(translate_right(galg.unit((2, 1, 3, 4)), rho)
+        b.build(translate_right(unit((2, 1, 3, 4)), rho)
                 for rho in coset_reps(4, 0))
         assert b.dim() > len(rows)
         assert t.k0_basis().rows == rows
@@ -108,14 +111,14 @@ class TestNormalize:
     def test_single_term_identity_perm(self):
         reg = make_registry("a2")
         te = reg.normalize(raw_terms("a2(i,j)"))
-        assert te.vec == galg.unit((1, 2))
+        assert te.vec == unit((1, 2))
         assert te.header.pairs == ()
         assert te.header.free == (("i", 0), ("j", 0))
 
     def test_swapped_term(self):
         reg = make_registry("a2")
         te = reg.normalize(raw_terms("a2(j,i)"))
-        assert te.vec == galg.unit((2, 1))
+        assert te.vec == unit((2, 1))
 
     def test_factor_order_canonical(self):
         reg = make_registry("a2", "s2")
@@ -405,6 +408,48 @@ class TestRelationGeneration:
         te = reg.normalize(raw_terms("a2(i,j)"))
         assert reg.dummy_relations(te.header) == []
 
+    @pytest.mark.parametrize("text, vanishes", [
+        ("a2(i,j)*a3(k,l,m)", False),       # pair-free
+        ("s2(m,c)*s3(m,d,e)", False),       # one dummy pair
+        ("a2(m,n)*ri(m,n,c,d)", True),      # one pair, multiterm rows
+        ("a2(i,j)*s2(i,j)", True),          # two pairs
+    ])
+    def test_relations_term_for_term(self, text, vanishes):
+        # the engine writes each two-term relation in the order it knows
+        # the terms to be in; the public constructor sorts and merges them
+        reg = make_registry("a2", "s2", "a3", "s3", "ri")
+        h = reg.normalize(raw_terms(text)).header
+        n, p = h.degree, h.npairs
+        closure = reg._closure(h)
+        want = [GroupVector(n, r.terms)
+                for r in closure.close(closure.table.minima())]
+        for x, hit in closure.table.items():
+            if hit is None:
+                want.append(GroupVector(n, [(1, x)]))
+            elif hit[1] != x:
+                want.append(GroupVector(n, [(1, x), (-hit[0], hit[1])]))
+        assert (None in closure.table.values()) == vanishes
+        got = reg.product_relations(h)
+        assert got == want
+        # swap the members of each pair, then each two adjacent pairs
+        gens = []
+        for k in range(0, 2 * p, 2):
+            m = list(identity(n))
+            m[k:k + 2] = m[k + 1], m[k]
+            gens.append(m)
+        for k in range(0, 2 * p - 2, 2):
+            m = list(identity(n))
+            m[k:k + 4] = m[k + 2:k + 4] + m[k:k + 2]
+            gens.append(m)
+        dummy = reg.dummy_relations(h)
+        assert dummy == [
+            GroupVector(n, [(1, tuple(pi[j - 1] for j in g)), (-1, pi)])
+            for g in gens for pi in permutations(range(1, n + 1))]
+        assert len(dummy) == (2 * p - 1 if p else 0) * factorial(n)
+        for v in got + dummy:
+            maps = [q for _, q in v.terms]
+            assert all(a > b for a, b in zip(maps, maps[1:])), v
+
     def test_dummy_relations_close_renaming_group(self):
         # with p pairs the generators span the hyperoctahedral renaming
         # group of order 2^p * p!; each group element g yields relations
@@ -420,10 +465,10 @@ class TestRelationGeneration:
                  (3, 4, 1, 2, 5, 6)]
         for k in (1, 2, 3):
             for combo in itertools.product(swaps, repeat=k):
-                g = pm.identity(6)
+                g = identity(6)
                 for s in combo:
                     g = pm.multiply(g, s)
-                v = galg.add(galg.unit(g), galg.unit(pm.identity(6), -1))
+                v = galg.add(unit(g), unit(identity(6), -1))
                 assert b.sieve(v).is_zero()
 
 
@@ -447,7 +492,7 @@ class TestExpressionBasisAndSimplify:
         reg = make_registry("a2")
         te = reg.normalize(raw_terms("a2(j,i)"))
         res = reg.simplify(te)
-        assert res.canonical.vec == galg.unit((1, 2), -1)
+        assert res.canonical.vec == unit((1, 2), -1)
         assert res.basis_dim == 1
 
     def test_equal_reflexive(self):
