@@ -11,8 +11,7 @@ also after it is reduced by a new row, so the basis of a given span is
 unique term for term, whatever relations built it and in what order; only
 the order of the rows follows their insertion.  A column index maps each
 non-pivot permutation to the rows that carry it, so an insert reduces only
-those rows.  The first insert builds it; a basis wrapped around stored
-rows (`from_rows`) and only sieved never does.
+those rows.
 
 The sieve eliminates the input's pivot terms one at a time, in descending
 permutation order.  The input and the result of each step are the forms
@@ -44,17 +43,8 @@ class KBasis:
         self.degree = degree
         # pivot permutation -> row; dicts preserve insertion order
         self._rows: dict[tuple[int, ...], GroupVector] = {}
-        # non-pivot permutation -> pivots of the rows carrying it; built on
-        # the first insert, so read-only bases never pay for it
-        self._cols: dict[tuple[int, ...], set] | None = None
-
-    @classmethod
-    def from_rows(cls, degree: int, rows: Iterable[GroupVector]) -> "KBasis":
-        """A basis around rows that are already renormed and reduced, such
-        as the `rows` of another basis, keyed by their leading maps."""
-        b = cls(degree)
-        b._rows = {row.terms[0][1]: row for row in rows}
-        return b
+        # non-pivot permutation -> pivots of the rows carrying it
+        self._cols: dict[tuple[int, ...], set] = {}
 
     @property
     def rows(self) -> list[GroupVector]:
@@ -118,8 +108,6 @@ class KBasis:
         hit = next((p for _, p in v.terms if p in rows), None)
         if hit is not None:
             raise PivotCollisionError(f"pivot {hit} already present (missed sieve?)")
-        if self._cols is None:
-            self._cols = self._index()
         cols = self._cols
         rest = v.terms[1:]
         for rkey in cols.pop(key, ()):
@@ -141,14 +129,6 @@ class KBasis:
         for _, p in rest:
             cols.setdefault(p, set()).add(key)
         rows[key] = v
-
-    def _index(self) -> dict[tuple[int, ...], set]:
-        """The column index of the current rows."""
-        cols: dict[tuple[int, ...], set] = {}
-        for key, row in self._rows.items():
-            for _, p in row.terms[1:]:
-                cols.setdefault(p, set()).add(key)
-        return cols
 
     def build(self, relations: Iterable) -> "KBasis":
         """Insert the nonzero residue of each relation, an iterable of

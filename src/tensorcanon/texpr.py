@@ -166,25 +166,23 @@ class BasicTensor(Record):
 
     def __init__(self, name: str, arity: Optional[int] = None,
                  display: Optional[tuple[str, ...]] = None):
-        super().__init__(name, arity, display, (), None)   # _k0, _mono
+        super().__init__(name, arity, display, None, None)   # _k0, _mono
 
     def k0_basis(self) -> KBasis:
-        """A new basis around the stored rows, so building into it leaves
-        them as they are until `store_k0`."""
+        """The stored basis, which `declare_symmetry` builds in place; an
+        empty one of the tensor's arity until a relation adds rows."""
         if self.arity is None:
             raise TensorError(f"arity of {self.name} is not fixed yet")
-        return KBasis.from_rows(self.arity, self._k0)
-
-    def store_k0(self, b: KBasis):
-        self._k0 = tuple(b.rows)
-        self._mono = None
+        if self._k0 is None:
+            self._k0 = KBasis(self.arity)
+        return self._k0
 
     def monoterm(self) -> tuple[list[Generator], list[GroupVector]]:
         """Generators of the signed monoterm group and the multiterm rows,
         read off K0 on first use (see `monoterm_data`); a tensor without
         relations has the trivial group and no rows."""
         if self._mono is None:
-            self._mono = (monoterm_data(self.k0_basis()) if self._k0
+            self._mono = (monoterm_data(self._k0) if self._k0 is not None
                           else ([], []))
         return self._mono
 
@@ -221,8 +219,13 @@ def monoterm_data(b: KBasis) -> tuple[list[Generator], list[GroupVector]]:
     return gens, KBasis(a).build(orbit_project(r, table) for r in rest).rows
 
 
-def _reader(x: tuple) -> Callable[[Sequence], tuple]:
-    """itemgetter(*x), which gives a tuple also for one index."""
+def _reader(x: Sequence) -> Callable[[Sequence], tuple]:
+    """itemgetter(*x), which gives a tuple also for one index.
+
+    Read off a term's {key: 1-based position} dict, the reference keys x
+    give the term's map: sigma^{-1}, with sigma the selection such that
+    the term's i-th key is x[sigma[i]].  Symmetry relations then close
+    under right translation and dummy renamings act by right factors."""
     return itemgetter(*x) if len(x) > 1 else lambda g, v=x[0]: (g[v],)
 
 
@@ -507,13 +510,13 @@ class Registry:
         n = len(ref)
         self._check_rank(n)
         tensor = self._fix_arity(name, n, {})
-        where = {x: i for i, x in enumerate(ref)}
+        take = _reader(ref)
         acc: dict[tuple, int | Fraction] = {}
         for c, idx in parsed:
             if sorted(idx) != sorted(ref):
                 raise TensorError("symmetry relation terms must use the same"
                                   " index names")
-            pi = _term_map(idx, where)
+            pi = take(dict(zip(idx, count(1))))
             acc[pi] = acc.get(pi, 0) + c
         # a refused relation leaves the tensor as it was
         tensor.arity = n
@@ -523,9 +526,9 @@ class Registry:
         if not terms:
             return
         # the translate by rho has the maps q*rho, (0,)+q read at rho
-        tensor.store_k0(tensor.k0_basis().build(
-            [(c, act(q)) for c, q in terms]
-            for act in map(_reader, coset_reps(n, 0))))
+        tensor._mono = None
+        tensor.k0_basis().build([(c, act(q)) for c, q in terms]
+                                for act in map(_reader, coset_reps(n, 0)))
         self._memo.clear()
 
     # -- expression construction ---------------------------------------
@@ -562,35 +565,37 @@ class Registry:
                     self._fix_arity(fname, len(idx), pending)
                 product.append(fname)
                 names += idx
+            # a term is keyed by its slot keys if it has pairs, else by its
+            # index names, as a pair-free header reads them
             if header is None or header.pairs:
                 keys, pair_names = self._slot_keys(names, noted)
+                pos = dict(zip(keys if pair_names else names, count(1)))
             else:
                 pos = dict(zip(names, count(1)))
-                keys = (None if len(pos) == len(names)
-                        else self._slot_keys(names, noted)[0])
+                if len(pos) < len(names):    # refused below, after the note
+                    self._slot_keys(names, noted)
             c = galg.coef(c)
             if header is None:
                 free = sorted(k for k in keys if k[0] == "f")
-                ref_keys = [("d", k, m) for k in range(1, len(pair_names) + 1)
-                            for m in (1, 2)] + free
                 header = TensorHeader(tuple([(f, len(x)) for f, x in facs]),
                                       tuple(pair_names),
                                       tuple([k[1:] for k in free]))
-                where = {k: i for i, k in enumerate(ref_keys)}
-                product0, ref_names = product, [x for _, x, _ in free]
-                # an all-pair header never takes by position
-                take = _reader(ref_names) if ref_names else None
+                product0 = product
+                ref_keys = [("d", k, m) for k in range(1, len(pair_names) + 1)
+                            for m in (1, 2)] + free
+                take = _reader(ref_keys if pair_names
+                               else [x for _, x, _ in free])
             if error is None and product != product0:
                 error = ("terms of one expression must share the same"
                          " product of basic tensors")
             if error is not None:
                 continue
-            # equal products give n distinct keys, so they match the
-            # reference slots exactly when each of them is one; without
-            # pairs, all-distinct names are matched by their positions.  A
-            # key or a reference name that does not match raises KeyError
+            # `take` reads the n reference keys off the term's keys, at most
+            # n as the products are equal: the term fits the header exactly
+            # when each reference key is among them; one that is not raises
+            # KeyError
             try:
-                m = take(pos) if keys is None else _term_map(keys, where)
+                m = take(pos)
             except KeyError:
                 error = ("terms of one expression must carry the same free"
                          " indices")
@@ -754,18 +759,3 @@ class Registry:
             raise TensorError("expressions have incompatible headers")
         diff = TensorExpr(ha, galg.add(a.vec, galg.negate(b.vec)))
         return self.simplify(diff).canonical.is_zero()
-
-
-def _term_map(keys: Sequence, where: dict) -> tuple[int, ...]:
-    """The map of a term's permutation relative to the reference slots,
-    `where` giving each reference key its 0-based slot; the keys are
-    distinct, and one that is not a reference slot raises KeyError.
-
-    With sigma the selection with keys[i] = ref[sigma[i]], the term's
-    permutation is sigma^{-1}; symmetry relations then close under right
-    translation and dummy renamings act by right factors.
-    """
-    m = [0] * len(where)
-    for i, k in enumerate(keys, 1):
-        m[where[k]] = i
-    return tuple(m)

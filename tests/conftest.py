@@ -55,15 +55,17 @@ def random_vector(rng: random.Random, n: int, max_terms: int = 4):
 
 def check_reduced(b) -> bool:
     """Invariant check of a KBasis: no row touches another row's pivot,
-    and the column index, once built, lists exactly the rows that carry
-    each non-pivot permutation."""
+    and the column index lists exactly the rows that carry each non-pivot
+    permutation, as an index built here from the rows does."""
+    cols: dict = {}
     for key, row in b._rows.items():
         for _, p in row.terms[1:]:
             if p in b._rows:
                 return False
+            cols.setdefault(p, set()).add(key)
         if row.terms[0][1] != key:
             return False
-    return b._cols is None or b._cols == b._index()
+    return b._cols == cols
 
 
 def unit(p: tuple, c=1) -> GroupVector:

@@ -26,8 +26,6 @@ class ReferenceKBasis(KBasis):
         pc, key = v.terms[0]
         if key in self._rows:
             raise PivotCollisionError(f"pivot {key} already present (missed sieve?)")
-        if self._cols is None:
-            self._cols = self._index()
         cols = self._cols
         for rkey in cols.pop(key, ()):
             row = self._rows[rkey]

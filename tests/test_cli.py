@@ -640,6 +640,11 @@ class TestRefusalLeavesRegistry:
         assert out.split("\n")[0] == "u(b,a,c) + (-1)*u(a,b,c)"
         assert out.endswith("\n3\n")
 
+    def test_cancelled_tsym_fixes_an_empty_basis(self):
+        # the arity is fixed, the relation adds no row
+        assert self.run("tensor u; tsym u(i,j)-u(i,j); u(i,j); kbasis u;") \
+            == (0, "u(i,j)\n0\n", "")
+
 
 class TestOutcomes:
     """Every script through `cli.run` ends as its output with status 0 or

@@ -244,20 +244,3 @@ class TestExport:
         assert obj["dimension"] == 1
         assert obj["rows"] == [{"coeffs": ["1", "-1"],
                                 "perms": [[2, 1], [1, 2]]}]
-
-
-class TestStoredRows:
-    def test_roundtrip(self):
-        b = KBasis(3).build(sign_relations(3))
-        loaded = KBasis.from_rows(b.degree, b.rows)
-        assert loaded.degree == b.degree
-        assert loaded.rows == b.rows
-        assert check_reduced(loaded)
-        # sieving alone leaves the column index unbuilt
-        assert loaded.sieve(unit(identity(3))) == unit(identity(3))
-        assert loaded._cols is None
-        # the first insert indexes the loaded rows and reduces them all
-        loaded.insert(unit(identity(3)))
-        assert loaded.dim() == 6
-        assert check_reduced(loaded)
-        assert all(len(row) == 1 for row in loaded.rows)

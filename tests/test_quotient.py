@@ -575,7 +575,7 @@ class TestOrbitTable:
         for t in s.registry.tensors.values():
             if t.arity is not None:
                 table = OrbitTable(t.arity, t.monoterm()[0], 0)
-                for row in t._k0:
+                for row in t.k0_basis().rows:
                     for _, p in row.terms:
                         table[p]
                 tables.append(table)
@@ -727,8 +727,9 @@ class TestClosure:
 
         def checked_simplify(te):
             h, p = te.header, te.header.npairs
-            key = (h.factors, p, tuple(row.terms for name, _ in h.factors
-                                       for row in reg.tensors[name]._k0))
+            key = (h.factors, p, tuple(
+                row.terms for name, _ in h.factors
+                for row in reg.tensors[name].k0_basis().rows))
             if key not in refs:
                 refs[key] = self.reference(reg, h)
             table, b, dim = refs[key]

@@ -1,6 +1,7 @@
 """Every module-level function and class of the package is used by the
-package itself or exported in `tensorcanon.__all__`; helpers that only
-tests call belong under `tests/`.  Whatever of the package the benchmark
+package itself or exported in `tensorcanon.__all__`, and every private
+method of its classes is used by the package; helpers that only tests
+call belong under `tests/`.  Whatever of the package the benchmark
 under `perfbench/` reads must exist, so a removal that would break it
 fails here too."""
 
@@ -21,9 +22,11 @@ EXEMPT = {"oracle.py"}
 
 
 def unreferenced(trees: dict[str, ast.Module]) -> list[str]:
-    """`module.name` of each module-level function or class, outside the
-    exempt modules, named by no `Name`, `Attribute` or import outside its
-    own definition and not in `tensorcanon.__all__`."""
+    """`module.name` of each module-level function or class not in
+    `tensorcanon.__all__`, and `module.Class._name` of each private method
+    (not a dunder) of a module-level class, outside the exempt modules,
+    named by no `Name`, `Attribute` or import outside its own
+    definition."""
     uses: dict[str, list[int]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -37,11 +40,19 @@ def unreferenced(trees: dict[str, ast.Module]) -> list[str]:
         if module in EXEMPT:
             continue
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in tensorcanon.__all__):
-                inside = {id(n) for n in ast.walk(node)}
-                if all(u in inside for u in uses.get(node.name, [])):
-                    found.append(f"{module[:-3]}.{node.name}")
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = ([] if node.name in tensorcanon.__all__
+                    else [(node.name, node)])
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and m.name.startswith("_")
+                         and not m.name.endswith("__")]
+            for label, d in defs:
+                inside = {id(n) for n in ast.walk(d)}
+                if all(u in inside for u in uses.get(d.name, [])):
+                    found.append(f"{module[:-3]}.{label}")
     return found
 
 
@@ -57,16 +68,22 @@ def test_package_has_no_test_only_definitions():
 
 def test_the_scan_flags_an_unused_definition():
     # a use inside its own definition does not count; an import, under
-    # any alias, does
+    # any alias, does.  A private method counts as used when named outside
+    # its body; dunders and public methods are not scanned
     sources = {
-        "a.py": ("class Used:\n    pass\n\n"
+        "a.py": ("class Used:\n    def __init__(self):\n        pass\n\n"
+                 "    def public(self):\n        pass\n\n"
+                 "    def _called(self):\n        pass\n\n"
+                 "    def _unused(self):\n        return self._unused()\n\n"
                  "def recursive(n):\n    return recursive(n - 1)\n\n"
-                 "def imported():\n    return Used()\n"),
+                 "def imported():\n    return Used()._called()\n"),
         "b.py": ("from .a import imported as f\n\n"
                  "def unused():\n    return f()\n"),
-        "oracle.py": "def member():\n    pass\n",
+        "oracle.py": ("def member():\n    pass\n\n"
+                      "class Exempt:\n    def _alone(self):\n        pass\n"),
     }
-    assert unreferenced(parse(sources)) == ["a.recursive", "b.unused"]
+    assert unreferenced(parse(sources)) == ["a.Used._unused", "a.recursive",
+                                            "b.unused"]
 
 
 def package_reads(tree: ast.Module) -> set[str]:

@@ -16,8 +16,8 @@ from tensorcanon.galg import GroupVector
 from tensorcanon.texpr import (DegreeLimitError, Registry, TensorError,
                                TensorExpr, coset_reps, estimate_memory)
 
-from conftest import (MULTITERM, RELATIONS, identity, make_registry,
-                      raw_terms, translate_right, unit)
+from conftest import (MULTITERM, RELATIONS, check_reduced, identity,
+                      make_registry, raw_terms, unit)
 import reference_normalize
 import reference_orbits
 
@@ -97,14 +97,37 @@ class TestSymmetryDeclaration:
         reg = make_registry("ri")
         assert reg.tensors["ri"].k0_basis().dim() == 22
 
-    def test_build_without_store_keeps_rows(self):
-        t = make_registry("ri").tensors["ri"]
-        rows = t.k0_basis().rows
-        b = t.k0_basis()
-        b.build(translate_right(unit((2, 1, 3, 4)), rho)
-                for rho in coset_reps(4, 0))
-        assert b.dim() > len(rows)
-        assert t.k0_basis().rows == rows
+    def test_refusals_leave_the_stored_basis(self):
+        reg = make_registry("ri", "a2")
+        t = reg.tensors["ri"]
+        b, mono = t.k0_basis(), t.monoterm()
+        rows = b.rows
+        refused = ["ri(i,j,k,l)+ri(i,j,k,m)",          # other index names
+                   "ri(i,j,k,l)+a2(i,j)",              # two tensors
+                   "ri(i,j,k,l)*a2(m,n)",
+                   "ri(i,i,k,l)",                      # a dummy index
+                   "ri(i,j,k)-ri(j,i,k)",              # a wrong arity
+                   "ri(a,b,c,d,e,f,g,h,i)"]            # over the rank limit
+        for text in refused:
+            with pytest.raises(TensorError):
+                reg.declare_symmetry(raw_terms(text))
+            assert t.k0_basis() is b and b.rows == rows, text
+            assert check_reduced(b), text
+            assert t.monoterm() is mono, text
+        # terms that cancel keep the cached group
+        reg.declare_symmetry(raw_terms("ri(i,j,k,l)-ri(i,j,k,l)"))
+        assert t.monoterm() is mono
+        # a relation that adds rows builds into the stored basis in place
+        extra = "ri(i,j,k,l)-ri(i,k,j,l)"
+        reg.declare_symmetry(raw_terms(extra))
+        assert t.k0_basis() is b and b.dim() > len(rows)
+        assert check_reduced(b)
+        assert t.monoterm() is not mono
+        fresh = Registry()
+        fresh.declare("ri")
+        for rel in RELATIONS["ri"] + [extra]:
+            fresh.declare_symmetry(raw_terms(rel))
+        assert t.monoterm() == fresh.tensors["ri"].monoterm()
 
 
 class TestNormalize:
