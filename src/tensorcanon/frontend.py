@@ -26,8 +26,10 @@ ParseError rescans the text up to its token to find them.
 A text that is one literal sum, `[-][k*]t(i,...)*... ± [k*]t(...)...;`,
 skips the tokens.  The pass that removes its blanks also finds blanks
 between two words; the text is then split once on its term weights, and
-each distinct weight, product and factor is read once.  Each distinct
-factor is checked when first read, in products whose weights cancel too.
+each distinct weight and product is read once.  A factor text is checked
+and built once per process, in products whose weights cancel too: one
+module table keeps it for later texts and is emptied when it grows past
+_FACTOR_LIMIT entries.
 Any other text goes to the token parser, which gives every error.  So
 does a literal sum with a comment, a non-ASCII character, blanks between
 two words, a coefficient with a leading zero, or a first factor named by
@@ -323,7 +325,8 @@ _TOUCH_RE = re.compile(r" (?<=[0-9A-Za-z_] )[0-9A-Za-z_]")
 
 
 class _Factors(dict):
-    """Factor text -> its factor, checked and built on the first lookup."""
+    """Factor text -> its factor, checked and built on the first lookup;
+    a text that is no factor raises and is not stored."""
 
     def __missing__(self, f):
         if _FACTOR_RE.fullmatch(f) is None:
@@ -331,6 +334,10 @@ class _Factors(dict):
         name, _, idx = f[:-1].partition("(")
         self[f] = out = (name, tuple(idx.split(",")))
         return out
+
+
+_FACTORS = _Factors()     # an entry depends only on its text
+_FACTOR_LIMIT = 4096
 
 
 def _literal_sum(text):
@@ -354,12 +361,15 @@ def _literal_sum(text):
     for w, b in zip(weights, bodies):
         acc[b] = acc.get(b, 0) + coeffs[w]
     # read every body, those whose weights cancel too, to check its factors
-    factors = _Factors().__getitem__
+    factors = _FACTORS.__getitem__
     try:
         terms = [(c, tuple(map(factors, b.split("*"))))
                  for b, c in acc.items()]
     except ValueError:
         return None
+    finally:
+        if len(_FACTORS) > _FACTOR_LIMIT:
+            _FACTORS.clear()
     if not all(acc.values()):
         terms = [t for t in terms if t[0]] or [(0, terms[0][1])]
     return [ExprEval(terms, src=src)]

@@ -50,7 +50,7 @@ from .galg import GroupVector
 from .kbasis import KBasis
 
 # A raw term is (coefficient, factors); a factor is (tensor name, index
-# names), as `frontend.parse` builds it.
+# names), tuples as `frontend.parse` builds them: `normalize` hashes them.
 RawFactor = tuple[str, tuple[str, ...]]
 RawTerm = tuple[Fraction | int, tuple[RawFactor, ...]]
 # A signed monoterm symmetry (g, s), g a one-line map acting on the left.
@@ -169,8 +169,11 @@ class BasicTensor(Record):
         super().__init__(name, arity, display, None, None)   # _k0, _mono
 
     def k0_basis(self) -> KBasis:
-        """The stored basis, which `declare_symmetry` builds in place; an
-        empty one of the tensor's arity until a relation adds rows."""
+        """The live stored basis, not a copy, and read-only to callers: its
+        one writer, `declare_symmetry`, builds into it in place and clears
+        `monoterm()` and the registry memo, which another writer would
+        leave stale.  Empty, of the tensor's arity, until a relation adds
+        rows."""
         if self.arity is None:
             raise TensorError(f"arity of {self.name} is not fixed yet")
         if self._k0 is None:
@@ -541,6 +544,9 @@ class Registry:
         first term fixes the header; a term that does not fit it is refused
         once every term is checked.  The arities the expression fixes are
         kept only if it is accepted, by the coset guard of `simplify` too.
+        Each ordered product is mapped once: a term whose ordered factors
+        an earlier term brought into the vector adds its coefficient at
+        that map, until a term is refused.
         """
         if not terms:
             raise TensorError("empty tensor expression")
@@ -548,6 +554,7 @@ class Registry:
         pending: dict[str, int] = {}
         noted: set[str] = set()
         acc: dict[tuple, int | Fraction] = {}
+        done: dict[tuple, tuple] = {}   # ordered factors -> map, in acc
         header = error = None
         for c, facs in terms:
             if not facs:
@@ -557,7 +564,11 @@ class Registry:
                 if g[0] < f[0]:
                     facs = g, f
             elif len(facs) > 2:
-                facs = sorted(facs, key=_FIRST)
+                facs = tuple(sorted(facs, key=_FIRST))
+            # factors already in acc pass the same checks, give the same map
+            if error is None and facs in done:
+                acc[done[facs]] += galg.coef(c)
+                continue
             product, names = [], []
             for fname, idx in facs:
                 t = tensors.get(fname)
@@ -601,6 +612,7 @@ class Registry:
                          " indices")
                 continue
             acc[m] = acc.get(m, 0) + c
+            done[facs] = m
         if error is not None:
             raise TensorError(error)
         self._check_cosets(header)

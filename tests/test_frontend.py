@@ -507,6 +507,58 @@ class TestLiteralSums:
         assert time.perf_counter() - start < 1
         assert (stmts is not None) == taken
 
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """An empty factor table in place of the module's."""
+        table = frontend._Factors()
+        monkeypatch.setattr(frontend, "_FACTORS", table)
+        return table
+
+    def test_second_parse_reads_the_table(self, factors):
+        text = "a2(i,j) - 2*a2(j,i)*Ri(i,j,k,l) + ri(i,j,k,l)*a2(i,j);"
+        first = frontend._literal_sum(text)
+        assert sorted(factors) == ["a2(i,j)", "a2(j,i)", "ri(i,j,k,l)"]
+        table = dict(factors)
+        second = frontend._literal_sum(text)
+        assert second == first == token_parse(text)
+        assert factors == table
+        # the second parse gives the very factors the table holds
+        assert second[0].expr[0][1][0] is factors["a2(i,j)"]
+
+    def test_declined_text_leaves_taken_ones(self, factors):
+        # the good factors of a declined text stay in the table; the bad
+        # one is not stored, and the later texts read as the token parser
+        # reads them
+        declined = "a2(i,j) + 2*a2(j,i)*b(k,) - b(k,l);"
+        assert frontend._literal_sum(declined) is None
+        assert "b(k,)" not in factors
+        assert set(factors) <= {"a2(i,j)", "a2(j,i)", "b(k,l)"}
+        for text in ("a2(i,j)*b(k,l) - a2(j,i);", "b(k,l) + 3*a2(i,j);",
+                     "a2(j,i)*b(k,l) - a2(i,j)*b(k,l);"):
+            assert frontend._literal_sum(text) == token_parse(text), text
+
+    def test_table_emptied_at_its_limit(self, factors, monkeypatch):
+        monkeypatch.setattr(frontend, "_FACTOR_LIMIT", 4)
+        rng = random.Random(3303)
+        for k in range(300):
+            text = random_literal_sum(rng)
+            if k % 3 == 2:
+                text = mutate(rng, text)
+            before = dict(factors)
+            got = outcome(parse, text)
+            assert got == outcome(token_parse, text), text
+            assert len(factors) <= 4
+            # entries are only added, until a call passes the limit
+            assert not factors or factors.items() >= before.items()
+        # a call that reads more new factors than the limit empties it
+        parse("a(i) + b(i) + c(i) + d(i) + e(i);")
+        assert not factors
+        parse("a(i) + b(i) + c(i) + d(i);")
+        assert len(factors) == 4
+        # so does a declined call
+        assert frontend._literal_sum("a(i) + e(i) + f(i,);") is None
+        assert not factors
+
     def test_pool_entries_take_the_term_path(self, monkeypatch):
         texts = [text for workload in ("contract", "free_sums")
                  for _, text in workloads.pool(workload)]

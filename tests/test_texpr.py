@@ -389,6 +389,66 @@ class TestNormalizeDifferential:
             accepted += len(self.check(terms, NORMALIZE_TENSORS)) == 3
         assert accepted > 100
 
+    def test_random_repeated_products(self):
+        # each list names one product of 1-3 factors, tensors repeated,
+        # over a few placements of one multiset of index names, each listed
+        # several times in shuffled factor order, so that normalize meets
+        # the same ordered factors again; about half then spoil a copy of
+        # a listed term, with an index more or fewer, another product or
+        # another index name, and go on listing terms after it
+        rng = random.Random(3302)
+        arity = {"a2": 2, "s2": 2, "a3": 3, "ri": 4, "v1": 1}
+        swap = {"a2": "s2", "s2": "a2", "a3": "ri", "ri": "a3", "v1": "a2"}
+        kinds = {}
+        repeats = thrice = 0
+        for _ in range(600):
+            product = rng.choices(list(arity), k=rng.randint(1, 3))
+            names = rng.choices("abcdefgh"[:rng.randint(2, 6)],
+                                k=sum(arity[f] for f in product))
+            placements = []
+            for _ in range(rng.randint(1, 3)):
+                rng.shuffle(names)
+                slots = iter(names)
+                placements.append([(f, tuple(next(slots) for _ in
+                                             range(arity[f])))
+                                   for f in product])
+            terms = []
+            for _ in range(rng.randint(2, 8)):
+                facs = list(rng.choice(placements))
+                rng.shuffle(facs)
+                terms.append((rng.choice((1, -1, 2)), tuple(facs)))
+            repeats += len(terms) > len(placements)
+            thrice += any(xs.count(x) > 2 for xs in (
+                [x for _, idx in p for x in idx] for p in placements)
+                for x in xs)
+            for _ in range(rng.random() < 0.5):
+                c, facs = rng.choice(terms)
+                k = rng.randrange(len(facs))
+                f, idx = facs[k]
+                spoil = rng.choice(("arity", "product", "name"))
+                if spoil == "arity":
+                    idx = idx + ("a",) if rng.random() < 0.5 else idx[1:]
+                elif spoil == "product":
+                    f = swap[f]
+                else:
+                    idx = ("z",) + idx[1:]
+                terms.append((c, facs[:k] + ((f, idx),) + facs[k + 1:]))
+                terms += rng.sample(terms, rng.randint(0, 2))
+            result = self.check(terms, NORMALIZE_TENSORS)
+            kind = ("ok" if len(result) == 3
+                    else re.sub(r"\w+ takes \d+ indices, given \d+|\w+ must"
+                                r" have at least one index", "arity",
+                                result[1]))
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert repeats > 500 and thrice > 100
+        assert kinds.pop("ok") > 200
+        assert sorted(kinds) == [
+            "arity",
+            "terms of one expression must carry the same free indices",
+            "terms of one expression must share the same product of basic"
+            " tensors"]
+        assert min(kinds.values()) > 30, kinds
+
     def test_random_raw_terms(self):
         rng = random.Random(707)
         kinds = {}
